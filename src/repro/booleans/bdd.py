@@ -24,18 +24,49 @@ service's worker threads cannot corrupt its unique/apply/negate/from_expr
 tables (all four are check-then-insert caches, unsafe under races).
 Distinct managers never share state, so single-threaded workloads — one
 manager per scan — only pay one uncontended acquire per operation.
+
+Deep diagrams
+-------------
+Apply, negation and the probability walk recurse once per level, and
+conversion once per expression nesting level besides, so a diagram
+deeper than Python's recursion limit (about a thousand variables)
+cannot be evaluated.  The public entry points turn
+that ``RecursionError`` into a :class:`~repro.errors.SolverError` naming
+the variable count; :meth:`BDD.signature_masses` is iterative and has no
+such limit.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections.abc import Mapping, Sequence
 
 from repro.booleans.expr import FALSE, TRUE, And, Expr, Not, Or, Var
+from repro.errors import SolverError
 
 #: Terminal node ids.
 ZERO = 0
 ONE = 1
+
+
+def _entry_point(method):
+    """Run a public operation under the manager's lock, reporting a
+    diagram too deep for the recursive bodies as a typed error."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            try:
+                return method(self, *args, **kwargs)
+            except RecursionError as exc:
+                raise SolverError(
+                    f"BDD over {len(self._order)} variables is too deep to "
+                    "evaluate: the recursive diagram operations exceed "
+                    "Python's recursion limit"
+                ) from exc
+
+    return locked
 
 
 class BDD:
@@ -98,10 +129,10 @@ class BDD:
         self._unique[key] = node
         return node
 
+    @_entry_point
     def var(self, name: str) -> int:
         """The BDD for a single variable."""
-        with self._lock:
-            return self._var(name)
+        return self._var(name)
 
     def _var(self, name: str) -> int:
         try:
@@ -113,20 +144,20 @@ class BDD:
     # ------------------------------------------------------------------
     # Boolean operations
 
+    @_entry_point
     def apply_and(self, u: int, v: int) -> int:
         """Conjunction of two nodes."""
-        with self._lock:
-            return self._apply("and", u, v)
+        return self._apply("and", u, v)
 
+    @_entry_point
     def apply_or(self, u: int, v: int) -> int:
         """Disjunction of two nodes."""
-        with self._lock:
-            return self._apply("or", u, v)
+        return self._apply("or", u, v)
 
+    @_entry_point
     def negate(self, u: int) -> int:
         """Negation of a node."""
-        with self._lock:
-            return self._negate(u)
+        return self._negate(u)
 
     def _negate(self, u: int) -> int:
         if u == ZERO:
@@ -181,6 +212,7 @@ class BDD:
     # ------------------------------------------------------------------
     # Conversion and queries
 
+    @_entry_point
     def from_expr(self, expr: Expr) -> int:
         """Convert an expression AST into a node of this manager.
 
@@ -191,9 +223,14 @@ class BDD:
         :func:`repro.core.kernel.derive_indicators` — where a service's
         ``working`` condition is shared by dozens of parents — would
         redo the same apply work once per reference.)
+
+        The operands of a conjunction or disjunction are folded deepest
+        top level first, so each step only adds nodes above the diagram
+        built so far.  Folding in expression order instead rebuilds a
+        fresh chain per operand: ``x_k ∧ ¬x_0 ∧ … ∧ ¬x_{k-1}`` would cost
+        O(k²) nodes rather than O(k).
         """
-        with self._lock:
-            return self._from_expr(expr)
+        return self._from_expr(expr)
 
     def _from_expr(self, expr: Expr) -> int:
         cached = self._expr_cache.get(expr)
@@ -207,18 +244,25 @@ class BDD:
             node = self._var(expr.name)
         elif isinstance(expr, Not):
             node = self._negate(self._from_expr(expr.operand))
-        elif isinstance(expr, And):
-            node = ONE
+        elif isinstance(expr, (And, Or)):
+            op, unit, absorbing = (
+                ("and", ONE, ZERO) if isinstance(expr, And) else ("or", ZERO, ONE)
+            )
+            operands = []
             for term in expr.terms:
-                node = self._apply("and", node, self._from_expr(term))
-                if node == ZERO:
+                operand = self._from_expr(term)
+                if operand == absorbing:
+                    node = absorbing
                     break
-        elif isinstance(expr, Or):
-            node = ZERO
-            for term in expr.terms:
-                node = self._apply("or", node, self._from_expr(term))
-                if node == ONE:
-                    break
+                operands.append(operand)
+            else:
+                nodes = self._nodes
+                operands.sort(key=lambda n: nodes[n][0], reverse=True)
+                node = unit
+                for operand in operands:
+                    node = self._apply(op, node, operand)
+                    if node == absorbing:
+                        break
         else:
             raise TypeError(
                 f"cannot convert {type(expr).__name__} to a BDD node"
@@ -226,14 +270,15 @@ class BDD:
         self._expr_cache[expr] = node
         return node
 
+    @_entry_point
     def evaluate(self, node: int, assignment: Mapping[str, bool]) -> bool:
         """Evaluate a node under a total variable assignment."""
-        with self._lock:
-            while node not in (ZERO, ONE):
-                level, low, high = self._nodes[node]
-                node = high if assignment[self._order[level]] else low
+        while node not in (ZERO, ONE):
+            level, low, high = self._nodes[node]
+            node = high if assignment[self._order[level]] else low
         return node == ONE
 
+    @_entry_point
     def probability(self, node: int, probs: Mapping[str, float]) -> float:
         """Exact probability that the function is true.
 
@@ -253,18 +298,14 @@ class BDD:
             cache[n] = value
             return value
 
-        with self._lock:
-            return walk(node)
+        return walk(node)
 
+    @_entry_point
     def support(self, node: int) -> frozenset[str]:
         """Variables the function actually depends on."""
         seen: set[int] = set()
         names: set[str] = set()
         stack = [node]
-        with self._lock:
-            return self._support(stack, seen, names)
-
-    def _support(self, stack, seen, names) -> frozenset[str]:
         while stack:
             n = stack.pop()
             if n in (ZERO, ONE) or n in seen:
@@ -280,6 +321,7 @@ class BDD:
         """Fraction of the 2^n assignments that satisfy the function."""
         return self.probability(node, {name: 0.5 for name in self._order})
 
+    @_entry_point
     def signature_masses(
         self, outputs: Sequence[int], probs: Mapping[str, float]
     ) -> dict[tuple[bool, ...], float]:
@@ -290,28 +332,50 @@ class BDD:
         ``i`` evaluates to ``b_i`` for all ``i`` simultaneously, under
         independent per-variable truth probabilities ``probs``.
 
-        The computation splits a constraint BDD on one output at a
-        time, pruning empty branches immediately, so the work is
-        proportional to the number of *reachable* signatures (distinct
-        configurations, in the performability reading) times the apply
-        cost — never to the 2^k signature space, and never to the 2^n
-        variable space.  Each leaf's probability is one weighted
-        traversal, linear in its diagram size.
+        One top-down pass over tuples of output cofactors: the frontier
+        starts at ``(outputs, mass 1)`` and is kept in one bucket per
+        level, the top level of the tuple's non-terminal entries.  At
+        level ``L`` every tuple sends ``mass·(1-p)`` to the tuple of its
+        entries' low cofactors and ``mass·p`` to that of their high
+        cofactors, merging equal tuples.  Tuples of terminals only are
+        the signatures.  The cost is O(levels × frontier width ×
+        outputs), never the 2^k signature space or the 2^n variable
+        space, and no node is allocated.  Zero-weight edges are kept,
+        so a probability of exactly 0 or 1 still yields every
+        satisfiable signature (with mass 0.0 where it cannot occur).
         """
-        with self._lock:
-            branches: list[tuple[tuple[bool, ...], int]] = [((), ONE)]
-            for output in outputs:
-                negated = self._negate(output)
-                split: list[tuple[tuple[bool, ...], int]] = []
-                for signature, constraint in branches:
-                    high = self._apply("and", constraint, output)
-                    if high != ZERO:
-                        split.append((signature + (True,), high))
-                    low = self._apply("and", constraint, negated)
-                    if low != ZERO:
-                        split.append((signature + (False,), low))
-                branches = split
-            return {
-                signature: self.probability(constraint, probs)
-                for signature, constraint in branches
-            }
+        nodes = self._nodes
+        terminal = len(self._order)
+
+        def top(frontier: tuple[int, ...]) -> int:
+            return min(
+                (nodes[n][0] for n in frontier if n > ONE), default=terminal
+            )
+
+        start = tuple(outputs)
+        buckets: list[dict[tuple[int, ...], float]] = [
+            {} for _ in range(terminal + 1)
+        ]
+        buckets[top(start)][start] = 1.0
+        for level in range(top(start), terminal):
+            bucket = buckets[level]
+            if not bucket:
+                continue
+            p = probs[self._order[level]]
+            for frontier, mass in bucket.items():
+                low = tuple(
+                    nodes[n][1] if n > ONE and nodes[n][0] == level else n
+                    for n in frontier
+                )
+                high = tuple(
+                    nodes[n][2] if n > ONE and nodes[n][0] == level else n
+                    for n in frontier
+                )
+                for child, weight in ((low, mass * (1.0 - p)), (high, mass * p)):
+                    target = buckets[top(child)]
+                    target[child] = target.get(child, 0.0) + weight
+            buckets[level] = {}
+        return {
+            tuple(n == ONE for n in frontier): mass
+            for frontier, mass in buckets[terminal].items()
+        }

@@ -12,10 +12,11 @@ The topology here is deliberately simple and structurally honest: one
 deeply replicated service (a primary with N-1 standbys, the paper's
 Figure 1 backup pattern scaled two orders of magnitude), analysed
 under perfect knowledge.  Its indicator logic compiles to an O(N²)
-BDD and its configuration count grows linearly (server k is in use
-iff servers 0..k-1 are down and k is up), so the *analysis* stays
-exact while the *state space* is astronomically large — exactly the
-regime where symbolic evaluation wins.
+BDD (at most (N+1)² nodes: 10,101 at N = 100) and its configuration
+count grows linearly (server k is in use iff servers 0..k-1 are down
+and k is up), so the *analysis* stays exact while the *state space*
+is astronomically large — exactly the regime where symbolic
+evaluation wins.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ nominal configuration used for the reward ceiling, and how ε threads
 through the public entry points.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -14,8 +17,12 @@ from repro.core import (
     ScanCounters,
     bdd_configurations,
     bounded_configurations,
+    build_indicator_bdd,
     nominal_configuration,
 )
+from repro.experiments.architectures import ARCHITECTURE_BUILDERS
+from repro.experiments.figure1 import figure1_failure_probs, figure1_system
+from repro.experiments.largescale import replicated_service_model
 from tests.core.random_models import random_scenario
 
 
@@ -42,6 +49,35 @@ class TestSymbolicCounters:
         serial = bdd_configurations(analyzer.problem, jobs=1)
         parallel = bdd_configurations(analyzer.problem, jobs=4)
         assert serial == parallel
+
+
+class TestSymbolicStructure:
+    @pytest.mark.parametrize("n", [10, 50, 100])
+    def test_replicated_service_compiles_to_quadratic_size(self, n):
+        ftlqn, failure_probs = replicated_service_model(n)
+        problem = PerformabilityAnalyzer(
+            ftlqn, None, failure_probs=failure_probs
+        ).problem
+        manager, outputs = build_indicator_bdd(problem)
+        assert len(manager) <= (n + 1) ** 2
+        before = len(manager)
+        masses = manager.signature_masses(outputs, problem.up_probability)
+        assert len(masses) == n + 1
+        assert len(manager) == before
+
+    def test_paper_rewards_are_bitwise_pinned(self):
+        # The default backend's §6 rewards equal, with ``==``, the values
+        # the benchmark's correctness gate pins.
+        path = Path(__file__).resolve().parents[2] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_perf_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for case, pinned in workloads.PAPER_REWARDS.items():
+            mama = ARCHITECTURE_BUILDERS[case]() if case is not None else None
+            result = PerformabilityAnalyzer(
+                figure1_system(), mama, failure_probs=figure1_failure_probs(mama)
+            ).solve()
+            assert result.expected_reward == pinned, case
 
 
 class TestBoundedCounters:
