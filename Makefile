@@ -9,7 +9,7 @@ test:
 	$(PY) -m pytest -x -q
 
 # Differential fuzzing campaign: random scenarios through every
-# analytic backend (serial + parallel) with the Monte-Carlo
+# analytic backend with the Monte-Carlo
 # cross-check; counterexamples are shrunk and dropped into
 # fuzz-artifacts/ (see docs/testing_guide.md for triage).
 FUZZ_SEEDS ?= 200
@@ -20,15 +20,15 @@ fuzz:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q
 
-# Machine-readable perf trajectory: backend x case x jobs wall-clock
+# Machine-readable perf trajectory: backend x case wall-clock
 # and speedup, parity-checked, written to BENCH_statespace.json (CI
 # uploads it as an artifact).
 bench-snapshot:
 	$(PY) benchmarks/snapshot.py --out BENCH_statespace.json
 
-# Same idea for the LQN layer: batched solver, shared caches, warm
-# starts and the optimizer's bounds fast path, parity- and
-# speedup-gated, written to BENCH_lqn.json (CI artifact).
+# Same idea for the LQN layer: batched solver, shared caches and the
+# optimizer's exhaustive search, parity- and speedup-gated, written to
+# BENCH_lqn.json (CI artifact).
 bench-snapshot-lqn:
 	$(PY) benchmarks/snapshot_lqn.py --out BENCH_lqn.json
 

@@ -3,9 +3,8 @@
 Companion of ``snapshot.py`` (which tracks the state-space backends):
 this file tracks the *LQN side* of the pipeline — the batched
 Bard–Schweitzer/Method-of-Layers solver, the sweep engine's shared
-LQN cache, the opt-in warm-start index and the optimizer's bounds fast
-path — and writes one JSON document mapping the perf trajectory across
-PRs::
+LQN cache and the optimizer's exhaustive search — and writes one JSON
+document mapping the perf trajectory across PRs::
 
     python benchmarks/snapshot_lqn.py --out BENCH_lqn.json
 
@@ -14,14 +13,10 @@ the file as an artifact.  Every entry is parity-gated before anything
 is written:
 
 * the engine runs must agree with fresh per-point/per-candidate
-  analyzers to 1e-12 (they are bit-identical by construction — the
-  engine is cold, so no warm-start history is involved);
+  analyzers to 1e-12 (they are bit-identical by construction);
 * the batched solver must agree with the sequential solver *bitwise*
   (``solve_lqn`` is a batch-of-one wrapper, so this checks the batch
   composition itself);
-* every bounds skip of the greedy fast path must carry its proof
-  (``upper_bound + slack <= incumbent_reward``) and leave the greedy
-  outcome unchanged;
 * the headline speedups are gated at ``SPEEDUP_FLOOR`` — the whole
   figure11 grid, and the LQN phase of the sensitivity sweep and the
   exhaustive optimizer search (their scan phases are per-point work
@@ -37,12 +32,7 @@ import subprocess
 import sys
 import time
 
-from repro.core import (
-    PerformabilityAnalyzer,
-    ScanCounters,
-    SweepEngine,
-    SweepPoint,
-)
+from repro.core import PerformabilityAnalyzer, ScanCounters
 from repro.core.configuration import configuration_to_lqn
 from repro.core.rewards import weighted_throughput_reward
 from repro.experiments.architectures import (
@@ -57,8 +47,6 @@ from repro.optimize import DesignSpace, DesignSpaceSearch, UpgradeOption
 
 PARITY_TOLERANCE = 1e-12
 SPEEDUP_FLOOR = 5.0
-#: Matches ``repro.optimize.search._BOUNDS_SLACK``.
-BOUNDS_SLACK = 1e-6
 
 WEIGHTS_B = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
 SENSITIVITY_PROBABILITIES = (0.0, 0.05, 0.1, 0.2, 0.3)
@@ -290,70 +278,6 @@ def optimize_exhaustive_entry() -> dict:
     })
 
 
-def optimize_greedy_entry() -> dict:
-    """The greedy bounds fast path plus warm starts: every skip must
-    carry its proof, and the search outcome must be identical to the
-    unscreened cold run."""
-    fast_counters = ScanCounters()
-    started = time.perf_counter()
-    fast = DesignSpaceSearch(
-        build_space(), counters=fast_counters, warm_start=True,
-    ).greedy(restarts=2)
-    fast_wall = time.perf_counter() - started
-
-    started = time.perf_counter()
-    plain = DesignSpaceSearch(
-        build_space(), bounds_fast_path=False,
-    ).greedy(restarts=2)
-    plain_wall = time.perf_counter() - started
-
-    for skip in fast.bounds_skips:
-        if skip.upper_bound + BOUNDS_SLACK > skip.incumbent_reward:
-            raise SystemExit(
-                f"unproven bounds skip: {skip.name} ub={skip.upper_bound!r} "
-                f"vs incumbent {skip.incumbent_reward!r}"
-            )
-    if fast.best().name != plain.best().name:
-        raise SystemExit(
-            "bounds fast path changed the greedy outcome: "
-            f"{fast.best().name} != {plain.best().name}"
-        )
-    worst = abs(fast.best().expected_reward - plain.best().expected_reward)
-    gate_parity("optimize-greedy best reward", worst)
-    counters = fast_counters
-    mean_distance = (
-        counters.lqn_warm_distance / counters.lqn_warm_starts
-        if counters.lqn_warm_starts
-        else 0.0
-    )
-    entry = {
-        "case": "optimize-greedy",
-        "points": len(fast.evaluations),
-        "engine_seconds": fast_wall,
-        "baseline_seconds": plain_wall,
-        "speedup_total": plain_wall / fast_wall,
-        "engine_lqn_seconds": counters.lqn_seconds,
-        "baseline_lqn_seconds": None,
-        "speedup_lqn_phase": None,
-        "max_parity_diff": worst,
-        "lqn_solves": counters.lqn_solves,
-        "lqn_cache_hits": counters.lqn_cache_hits,
-        "lqn_batch_max": counters.lqn_batch_max,
-        "lqn_bounds_skips": counters.lqn_bounds_skips,
-        "lqn_warm_starts": counters.lqn_warm_starts,
-        "lqn_warm_mean_distance": mean_distance,
-        "evaluations_screened_run": len(fast.evaluations),
-        "evaluations_plain_run": len(plain.evaluations),
-    }
-    print(
-        f"{entry['case']:>22}  total {entry['speedup_total']:6.1f}x  "
-        f"skips {entry['lqn_bounds_skips']}  "
-        f"warm {entry['lqn_warm_starts']}",
-        file=sys.stderr,
-    )
-    return entry
-
-
 def batched_solver_entry() -> dict:
     """The batched layered solver against a sequential loop over the
     same models — the micro-benchmark of the batch composition itself,
@@ -415,75 +339,12 @@ def batched_solver_entry() -> dict:
     return report(entry)
 
 
-def warm_start_entry() -> dict:
-    """Warm-started sweeps on a growing configuration set: the first
-    point pins most components reliable, the second releases the full
-    failure map, so its fresh configurations are seeded from cached
-    neighbours.  Agreement with the cold engine is checked at the
-    solver tolerance (warm starts are not bit-reproducible)."""
-    full = figure1_failure_probs()
-    restricted = {
-        name: (probability if name == "AppA" else 0.0)
-        for name, probability in full.items()
-    }
-    points = [
-        SweepPoint(name="restricted", failure_probs=restricted),
-        SweepPoint(name="full", failure_probs=full),
-    ]
-
-    def engine(warm: bool) -> SweepEngine:
-        return SweepEngine(figure1_system(), lqn_warm_start=warm)
-
-    started = time.perf_counter()
-    cold = engine(False).run(points)
-    cold_wall = time.perf_counter() - started
-    counters = ScanCounters()
-    started = time.perf_counter()
-    warm = engine(True).run(points, counters=counters)
-    warm_wall = time.perf_counter() - started
-
-    worst = max(
-        abs(w.expected_reward - c.expected_reward)
-        for w, c in zip(warm.points, cold.points)
-    )
-    if worst > 1e-6:
-        raise SystemExit(
-            f"warm-started sweep drifted {worst:.3e} from the cold run "
-            "(tolerance 1e-6)"
-        )
-    if counters.lqn_warm_starts == 0:
-        raise SystemExit("warm-start index never fired on the growing sweep")
-    entry = {
-        "case": "warm-start-sweep",
-        "points": len(points),
-        "engine_seconds": warm_wall,
-        "baseline_seconds": cold_wall,
-        "speedup_total": cold_wall / warm_wall,
-        "max_warm_cold_diff": worst,
-        "lqn_solves": counters.lqn_solves,
-        "lqn_batch_max": counters.lqn_batch_max,
-        "lqn_warm_starts": counters.lqn_warm_starts,
-        "lqn_warm_mean_distance": (
-            counters.lqn_warm_distance / counters.lqn_warm_starts
-        ),
-    }
-    print(
-        f"{entry['case']:>22}  total {entry['speedup_total']:6.1f}x  "
-        f"warm {entry['lqn_warm_starts']} "
-        f"(mean distance {entry['lqn_warm_mean_distance']:.1f})",
-        file=sys.stderr,
-    )
-    return entry
-
-
 def snapshot() -> dict:
     entries = [
         figure11_entry(),
         sensitivity_entry(),
         optimize_exhaustive_entry(),
-        optimize_greedy_entry(),
         batched_solver_entry(),
-        warm_start_entry(),
     ]
     return {
         "suite": "lqn",

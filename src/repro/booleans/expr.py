@@ -21,8 +21,7 @@ all the bit-parallel compiler of :mod:`repro.core.kernel` — deduplicate
 shared subexpressions by identity.  The intern tables hold weak
 references only, so dropping every user of an expression frees it.
 Pickling reconstructs nodes through the interning constructors, so
-identity-based fast paths survive process boundaries (workers of the
-parallel scan receive structurally shared problems).
+identity-based fast paths survive process boundaries.
 
 The intern tables are guarded by one module-level lock, making node
 construction safe from concurrent threads: without it, two threads

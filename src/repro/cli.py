@@ -20,7 +20,7 @@ Commands
     or a management architecture.
 ``verify``
     Fuzz randomly generated scenarios through every analytic backend
-    (serial and parallel) plus the Monte-Carlo simulation cross-check,
+    plus the Monte-Carlo simulation cross-check,
     shrinking any disagreement to a minimal counterexample (see
     :mod:`repro.verify`).
 ``paper``
@@ -210,13 +210,11 @@ def _cmd_analyze(args) -> int:
     )
     progress = console_progress(sys.stderr) if args.progress else None
     result = analyzer.solve(
-        method=_resolve_method(args), jobs=args.jobs,
+        method=_resolve_method(args),
         epsilon=getattr(args, "epsilon", DEFAULT_EPSILON), progress=progress,
     )
     print(f"state space: {result.state_count} states "
-          f"({result.method} evaluation"
-          + (f", {result.jobs} jobs" if result.jobs != 1 else "")
-          + ")")
+          f"({result.method} evaluation)")
     print(f"{'probability':>12}  {'reward':>8}  configuration")
     for record in result.records:
         marker = "" if record.converged else "  [unconverged]"
@@ -376,7 +374,6 @@ def _cmd_temporal(args) -> int:
         times,
         architecture=architecture,
         method=method,
-        jobs=args.jobs,
         epsilon=args.epsilon,
         progress=progress,
         counters=counters,
@@ -386,7 +383,6 @@ def _cmd_temporal(args) -> int:
         erosion = analyzer.erosion_curve(
             sorted(latencies),
             method=method,
-            jobs=args.jobs,
             epsilon=args.epsilon,
             progress=progress,
             counters=counters,
@@ -438,7 +434,7 @@ def _cmd_importance(args) -> int:
     counters = ScanCounters()
     records = importance_analysis(
         ftlqn, mama, probs, common_causes=causes, method=method,
-        jobs=args.jobs, progress=progress, counters=counters,
+        progress=progress, counters=counters,
     )
     print(f"{'component':>16} {'reward imp.':>12} {'failure imp.':>13} "
           f"{'potential':>10}")
@@ -449,7 +445,6 @@ def _cmd_importance(args) -> int:
     if args.json_out:
         document = {
             "method": method,
-            "jobs": args.jobs,
             "counters": counters.as_dict(),
             "records": [
                 {
@@ -488,7 +483,7 @@ def _cmd_dot(args) -> int:
 _SPEC_KEYS = frozenset({"model", "architectures", "base", "points"})
 
 
-def _load_sweep_spec(path: str, *, lqn_warm_start: bool = False):
+def _load_sweep_spec(path: str):
     """Parse a sweep-spec file into (engine, points)."""
     document = _load_json(path, "sweep spec")
     if not isinstance(document, dict):
@@ -541,19 +536,16 @@ def _load_sweep_spec(path: str, *, lqn_warm_start: bool = False):
         base_common_causes=causes_from_documents(
             base.get("common_causes", [])
         ),
-        lqn_warm_start=lqn_warm_start,
     )
     return engine, points_from_documents(document.get("points"))
 
 
 def _cmd_sweep(args) -> int:
-    engine, points = _load_sweep_spec(
-        args.spec, lqn_warm_start=args.warm_start
-    )
+    engine, points = _load_sweep_spec(args.spec)
     progress = console_progress(sys.stderr) if args.progress else None
     counters = ScanCounters()
     sweep = engine.run(
-        points, method=_resolve_method(args), jobs=args.jobs,
+        points, method=_resolve_method(args),
         epsilon=getattr(args, "epsilon", DEFAULT_EPSILON),
         progress=progress, counters=counters,
     )
@@ -565,20 +557,13 @@ def _cmd_sweep(args) -> int:
               f"{entry.failed_probability:10.6f}  "
               + ("cached" if entry.scan_cached else "fresh"))
     c = counters
-    warm = ""
-    if c.lqn_warm_starts:
-        mean_distance = c.lqn_warm_distance / c.lqn_warm_starts
-        warm = (
-            f", {c.lqn_warm_starts} warm starts "
-            f"(mean distance {mean_distance:.1f})"
-        )
     print(
         f"sweep: {c.sweep_points} points, {c.distinct_configurations} "
         f"distinct configurations, {c.scan_cache_hits} scan-cache hits; "
         f"lqn: {c.lqn_solves} solves, {c.lqn_cache_hits} cache hits "
         f"({100.0 * sweep.lqn_cache_hit_rate:.1f}% hit rate), "
         f"{c.lqn_unconverged} unconverged, "
-        f"max batch {c.lqn_batch_max}{warm}"
+        f"max batch {c.lqn_batch_max}"
     )
     if args.json_out:
         Path(args.json_out).write_text(sweep.to_json())
@@ -669,10 +654,7 @@ def _cmd_optimize(args) -> int:
     try:
         search = DesignSpaceSearch(
             space, weights=weights, method=_resolve_method(args),
-            jobs=args.jobs, progress=progress,
-            warm_start=args.warm_start,
-            bounds_fast_path=not args.no_bounds,
-            store=store,
+            progress=progress, store=store,
         )
         if strategy == "exhaustive":
             result = search.exhaustive()
@@ -703,22 +685,14 @@ def _cmd_optimize(args) -> int:
               f"{entry.failed_probability:10.6f} {entry.cost:8.2f} "
               f"{entry.component_count:5d}  {' '.join(marks)}")
     c = result.counters
-    warm = ""
-    if c.lqn_warm_starts:
-        mean_distance = c.lqn_warm_distance / c.lqn_warm_starts
-        warm = (
-            f", {c.lqn_warm_starts} warm starts "
-            f"(mean distance {mean_distance:.1f})"
-        )
     stored = (
         f", {result.store_hits} store hits" if result.store_hits else ""
     )
     print(
         f"search: {c.distinct_configurations} distinct configurations, "
-        f"{c.scan_cache_hits} scan-cache hits, "
-        f"{c.lqn_bounds_skips} bounds skips; "
+        f"{c.scan_cache_hits} scan-cache hits; "
         f"lqn: {c.lqn_solves} solves, {c.lqn_cache_hits} cache hits "
-        f"({100.0 * result.lqn_cache_hit_rate:.1f}% hit rate){warm}{stored}"
+        f"({100.0 * result.lqn_cache_hit_rate:.1f}% hit rate){stored}"
     )
     if budget is not None:
         if report.recommended is None:
@@ -744,12 +718,7 @@ def _cmd_verify(args) -> int:
         if not args.progress:
             return
         status = "ok" if outcome.ok else "COUNTEREXAMPLE"
-        extras = []
-        if len(outcome.jobs_checked) > 1:
-            extras.append(f"jobs={list(outcome.jobs_checked)}")
-        if outcome.simulated:
-            extras.append("sim")
-        suffix = f" [{', '.join(extras)}]" if extras else ""
+        suffix = " [sim]" if outcome.simulated else ""
         print(
             f"seed {outcome.seed}: {status} "
             f"({outcome.state_count} states, "
@@ -769,9 +738,7 @@ def _cmd_verify(args) -> int:
             seed_start=args.seed_start,
             time_budget=args.time_budget,
             backends=args.backends.split(",") if args.backends else None,
-            jobs=args.jobs,
             sim_every=args.sim_every,
-            parallel_every=args.parallel_every,
             shrink=not args.no_shrink,
             log=log,
             store=store,
@@ -809,7 +776,6 @@ def _cmd_verify(args) -> int:
         f"verify: {len(report.outcomes)}/{report.seeds_requested} seeds, "
         f"{document['states_covered']} states covered, "
         f"{document['simulation_checks']} simulation checks, "
-        f"{document['parallel_checks']} parallel checks, "
         f"{len(report.failures)} counterexample(s) in "
         f"{report.seconds:.1f}s{budget_note}{store_note}"
     )
@@ -1009,11 +975,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Coverage-aware performability of layered systems "
         "(Das & Woodside, DSN 2002 reproduction).",
-        epilog="Scaling: `analyze --jobs N` parallelises the "
-        "state-space scan over N worker processes (0 = all cores), and "
-        "`analyze --progress` streams live progress and cost counters "
-        "to stderr.  See docs/performance_guide.md for choosing "
-        "--method and --jobs.",
+        epilog="`analyze --progress` streams live progress and cost "
+        "counters to stderr.  See docs/performance_guide.md for "
+        "choosing --method.",
     )
     parser.add_argument(
         "--version", action="version",
@@ -1065,20 +1029,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser(
         "analyze", help="run the performability analysis",
-        epilog="--jobs splits the application-state scan over worker "
-        "processes; results are exact and independent of N.  --progress "
-        "renders scan/lqn phase progress on stderr and prints the cost "
-        "counters (states visited, cache hits, per-phase seconds) "
-        "afterwards.  docs/performance_guide.md discusses when "
-        "enumeration beats factored and how --jobs scales with cores.",
+        epilog="--progress renders scan/lqn phase progress on stderr "
+        "and prints the cost counters (states visited, cache hits, "
+        "per-phase seconds) afterwards.  docs/performance_guide.md "
+        "discusses when each backend is fastest.",
     )
     add_model_args(analyze)
     add_backend_args(analyze, with_epsilon=True)
-    analyze.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the state-space scan "
-        "(default 1 = sequential; 0 = all cores)",
-    )
     analyze.add_argument(
         "--progress", action="store_true",
         help="stream scan/LQN progress and cost counters to stderr",
@@ -1124,11 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default; 'none' = perfect knowledge)",
     )
     add_backend_args(temporal, with_epsilon=True)
-    temporal.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per time point's state-space scan "
-        "(default 1 = sequential; 0 = all cores)",
-    )
     temporal.add_argument(
         "--repair-rate", type=float, default=None, metavar="MU",
         help="repair rate lifting static probabilities to rates "
@@ -1184,17 +1136,11 @@ def build_parser() -> argparse.ArgumentParser:
         "importance", help="rank components by Birnbaum importance",
         epilog="Each component is conditioned up and down over one "
         "shared structure and LQN cache, so the extra cost per "
-        "component is two state-space scans.  --jobs parallelises each "
-        "scan; --json exports the full ranking with the aggregated "
-        "cost counters.",
+        "component is two state-space scans.  --json exports the full "
+        "ranking with the aggregated cost counters.",
     )
     add_model_args(importance)
     add_backend_args(importance)
-    importance.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per conditioned state-space scan "
-        "(default 1 = sequential; 0 = all cores)",
-    )
     importance.add_argument(
         "--progress", action="store_true",
         help="stream scan/LQN progress to stderr",
@@ -1225,18 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("spec", help="sweep specification JSON file")
     add_backend_args(sweep, with_epsilon=True)
-    sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for each point's state-space scan "
-        "(default 1 = sequential; 0 = all cores)",
-    )
-    sweep.add_argument(
-        "--warm-start", action="store_true",
-        help="seed each new configuration's LQN solve from its nearest "
-        "already-solved neighbour (same fixed points within the solver "
-        "tolerance, but results are no longer bit-identical to cold "
-        "per-point runs)",
-    )
     sweep.add_argument(
         "--progress", action="store_true",
         help="stream sweep/scan/LQN progress to stderr",
@@ -1278,23 +1212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(overrides the spec's search.budget)",
     )
     add_backend_args(optimize)
-    optimize.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for each candidate's state-space scan "
-        "(default 1 = sequential; 0 = all cores)",
-    )
-    optimize.add_argument(
-        "--warm-start", action="store_true",
-        help="seed each new configuration's LQN solve from its nearest "
-        "already-solved neighbour (faster, not bit-identical to cold "
-        "solves)",
-    )
-    optimize.add_argument(
-        "--no-bounds", action="store_true",
-        help="disable the greedy bounds fast path (by default, "
-        "candidate moves whose guaranteed throughput upper bound "
-        "cannot beat the incumbent are skipped without solving)",
-    )
     optimize.add_argument(
         "--progress", action="store_true",
         help="stream sweep/scan/LQN progress to stderr",
@@ -1436,8 +1353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "components, shared processors, deep backup chains, unreliable "
         "connectors, common causes) and replays it through every "
         "selected backend, demanding 1e-12 agreement with the "
-        "interpreted reference scan.  Every --parallel-every-th seed "
-        "re-runs the backends with --jobs worker processes and every "
+        "interpreted reference scan.  Every "
         "--sim-every-th seed cross-checks availability and expected "
         "reward against the Monte-Carlo simulation inside a Student-t "
         "confidence interval.  Disagreements are shrunk to minimal "
@@ -1462,19 +1378,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: interp,factored,bits)",
     )
     verify.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="worker processes for the periodic parallel re-check "
-        "(default 2)",
-    )
-    verify.add_argument(
         "--sim-every", type=int, default=10, metavar="K",
         help="run the simulation cross-check every K-th seed "
         "(default 10; 0 disables)",
-    )
-    verify.add_argument(
-        "--parallel-every", type=int, default=25, metavar="K",
-        help="re-run the backends with --jobs workers every K-th seed "
-        "(default 25; 0 disables)",
     )
     verify.add_argument(
         "--no-shrink", action="store_true",

@@ -18,32 +18,16 @@ non-state-space-based approach".  This module implements one:
 The result is bit-for-bit equal to the enumerative method (this is
 property-tested) while visiting exponentially fewer states when the
 management architecture is large.
-
-Parallelism mirrors :mod:`repro.core.enumeration`: the 2^a application
-scan is index-addressable, so ``jobs > 1`` splits it into contiguous
-index chunks dispatched over a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Each worker builds
-its own private BDD manager for the management variables, returns a
-partial accumulator plus counters, and the parent merges partials in
-chunk order.  ``jobs=1`` keeps the historical single-pass behaviour
-(one shared BDD manager across all application states) bit-for-bit.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import product
 
 from repro.booleans.bdd import BDD, ONE
 from repro.booleans.expr import Expr, FALSE, TRUE
-from repro.core.enumeration import (
-    StateSpaceProblem,
-    _state_probability,
-    app_bits_for_index,
-    chunk_ranges,
-    dispatch_chunks,
-    merge_accumulators,
-    resolve_jobs,
-)
+from repro.core.enumeration import StateSpaceProblem, _state_probability
 from repro.core.progress import ProgressCallback, ProgressReporter, ScanCounters
 
 
@@ -55,33 +39,26 @@ class _NeedBit(Exception):
         self.pair = pair
 
 
-def _factored_range(
+def _factored_scan(
     problem: StateSpaceProblem,
-    start: int,
-    stop: int,
     accumulator: dict[frozenset[str] | None, float],
     counters: ScanCounters,
-    manager: BDD | None = None,
     tick=None,
 ) -> None:
-    """Scan application states ``[start, stop)`` into ``accumulator``.
+    """Scan every application state into ``accumulator``.
 
-    ``manager`` is the BDD manager over the management variables; a
-    private one is created when omitted (the parallel path).  ``tick``
-    is called after each application state (sequential progress only).
+    One BDD manager over the management variables is shared across all
+    application states.  ``tick``, if given, is called after each
+    application state (for progress reporting).
     """
     fixed = problem.fixed_assignment()
-    width = len(problem.app_components)
     mgmt_states = problem.mgmt_state_count
-
-    if manager is None:
-        manager = BDD(sorted(problem.mgmt_components))
+    manager = BDD(sorted(problem.mgmt_components))
     up_probs = {
         name: problem.up_probability[name] for name in problem.mgmt_components
     }
 
-    for index in range(start, stop):
-        app_bits = app_bits_for_index(index, width)
+    for app_bits in product((True, False), repeat=len(problem.app_components)):
         app_state = dict(zip(problem.app_components, app_bits))
         counters.app_states_visited += 1
         counters.states_visited += mgmt_states
@@ -135,8 +112,8 @@ def _factored_range(
                 return False
             # Identity checks, not ``==``: the constants are pickle-stable
             # singletons (see ``_Constant.__reduce__``), and this is the
-            # same fast path ``enumeration._scan_range`` uses, so both
-            # evaluators stay in lockstep across process boundaries.
+            # same fast path ``enumeration._scan`` uses, so both
+            # evaluators stay in lockstep.
             if expr is TRUE:
                 return True
             if expr is FALSE:
@@ -177,57 +154,33 @@ def _factored_range(
             tick()
 
 
-def _factored_chunk(
-    problem: StateSpaceProblem, start: int, stop: int
-) -> tuple[dict[frozenset[str] | None, float], ScanCounters]:
-    """Worker entry point: scan one chunk with a private BDD manager."""
-    accumulator: dict[frozenset[str] | None, float] = {}
-    counters = ScanCounters()
-    _factored_range(problem, start, stop, accumulator, counters)
-    return accumulator, counters
-
-
 def factored_configurations(
     problem: StateSpaceProblem,
     *,
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> dict[frozenset[str] | None, float]:
     """Exact configuration probabilities without enumerating management
     states; see the module docstring for the algorithm.
 
-    ``jobs``, ``progress`` and ``counters`` behave as in
+    ``progress`` and ``counters`` behave as in
     :func:`repro.core.enumeration.enumerate_configurations`; progress
     ``completed``/``total`` count covered raw states (application
     states × 2^m), so both methods report against the same 2^N total.
     """
     if counters is None:
         counters = ScanCounters()
-    jobs = resolve_jobs(jobs)
     reporter = ProgressReporter(progress)
     total_states = problem.state_count
-    app_states = problem.app_state_count
     started = time.perf_counter()
+    accumulator: dict[frozenset[str] | None, float] = {}
 
-    if jobs == 1 or app_states < 2:
-        accumulator: dict[frozenset[str] | None, float] = {}
-        manager = BDD(sorted(problem.mgmt_components))
+    def tick() -> None:
+        reporter.emit("scan", counters.states_visited, total_states, counters)
 
-        def tick() -> None:
-            reporter.emit("scan", counters.states_visited, total_states, counters)
-
-        _factored_range(
-            problem, 0, app_states, accumulator, counters,
-            manager=manager, tick=tick if reporter.active else None,
-        )
-    else:
-        ranges = chunk_ranges(app_states, jobs * 4)
-        parts = dispatch_chunks(
-            _factored_chunk, problem, ranges, jobs, counters, reporter,
-            total_states,
-        )
-        accumulator = merge_accumulators(parts)
+    _factored_scan(
+        problem, accumulator, counters, tick=tick if reporter.active else None
+    )
 
     counters.record_level("distinct_configurations", len(accumulator))
     counters.scan_seconds += time.perf_counter() - started

@@ -24,7 +24,6 @@ from repro.core.enumeration import (
     StateSpaceProblem,
     enumerate_configurations,
     normalize_method,
-    resolve_jobs,
 )
 from repro.core.bounded import (
     DEFAULT_EPSILON,
@@ -44,71 +43,24 @@ from repro.core.rewards import RewardFunction, weighted_throughput_reward
 from repro.errors import ModelError
 from repro.ftlqn.fault_graph import build_fault_graph
 from repro.ftlqn.model import FTLQNModel
-from repro.lqn.results import LQNResults, WarmStart
+from repro.lqn.results import LQNResults
 from repro.lqn.solver import solve_lqn_batch
 from repro.mama.knowledge import KnowledgeGraph
 from repro.mama.model import ComponentKind, MAMAModel
 
 
-class WarmStartIndex:
-    """Nearest-neighbour warm-start index over an LQN cache.
-
-    Wraps a configuration → :class:`~repro.lqn.results.LQNResults`
-    mapping (typically a :class:`~repro.core.sweep.SweepEngine`'s
-    shared cache) and serves, for a configuration about to be solved,
-    the waiting-time estimates of the *closest already-solved*
-    configuration — closest by Hamming distance, i.e. the number of
-    components present in one configuration but not the other.  Ties
-    break on the sorted component tuple so the answer is independent
-    of cache insertion order.
-
-    Warm starts trade bit-reproducibility for speed: the solver still
-    converges to the same fixed point within its tolerance, but the
-    iterate path (and the last ~1e-8 of the result) depends on which
-    configurations happen to be cached.  They are therefore strictly
-    opt-in (``SweepEngine(lqn_warm_start=True)`` / ``--warm-start``).
-    """
-
-    def __init__(
-        self, cache: Mapping[frozenset[str], LQNResults]
-    ) -> None:
-        self._cache = cache
-
-    def nearest(
-        self, configuration: frozenset[str]
-    ) -> tuple[WarmStart | None, int]:
-        """The best available seed and its Hamming distance.
-
-        Returns ``(None, 0)`` when the cache holds no reusable entry.
-        """
-        best: WarmStart | None = None
-        best_key: tuple[int, tuple[str, ...]] | None = None
-        for cached, results in self._cache.items():
-            if results.warm_start is None:
-                continue
-            key = (len(configuration ^ cached), tuple(sorted(cached)))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = results.warm_start
-        if best is None or best_key is None:
-            return None, 0
-        return best, best_key[0]
-
-
 #: Signature of an injectable batched LQN solver: a list of ordinary
-#: LQN models plus optional per-model warm-start seeds in, one
-#: :class:`LQNResults` per model (same order) out.  The default is
-#: :func:`repro.lqn.solver.solve_lqn_batch`; the analysis service
-#: injects its micro-batching queue here so concurrent requests
-#: coalesce into fewer, larger batched solves.
-BatchSolver = Callable[
-    [Sequence[object], Sequence[WarmStart | None] | None],
-    list[LQNResults],
-]
+#: LQN models in, one :class:`LQNResults` per model (same order) out.
+#: The default is :func:`repro.lqn.solver.solve_lqn_batch`; the
+#: analysis service injects its micro-batching queue here so concurrent
+#: requests coalesce into fewer, larger batched solves.
+BatchSolver = Callable[[Sequence[object]], list[LQNResults]]
 
 
-def _solve_direct(models, warm_starts):
-    return solve_lqn_batch(models, warm_starts=warm_starts)
+def _solve_direct(models):
+    # Looked up at call time, so patching the module attribute reaches
+    # coordinators that were built earlier.
+    return solve_lqn_batch(models)
 
 
 class LQNCoordinator:
@@ -169,7 +121,6 @@ class LQNCoordinator:
         configurations: Sequence[frozenset[str]],
         *,
         counters: ScanCounters | None = None,
-        warm_index: WarmStartIndex | None = None,
     ) -> set[frozenset[str]]:
         """Make every configuration present in the cache.
 
@@ -182,7 +133,6 @@ class LQNCoordinator:
         """
         claimed: list[frozenset[str]] = []
         waiting: list[tuple[frozenset[str], threading.Event]] = []
-        seeds: list[WarmStart | None] | None = None
         with self._lock:
             for configuration in configurations:
                 if configuration in self._cache:
@@ -193,16 +143,6 @@ class LQNCoordinator:
                     claimed.append(configuration)
                 else:
                     waiting.append((configuration, latch))
-            if claimed and warm_index is not None:
-                # Under the lock: ``nearest`` iterates the cache, which
-                # concurrent claimants mutate under this same lock.
-                seeds = []
-                for configuration in claimed:
-                    seed, distance = warm_index.nearest(configuration)
-                    if seed is not None and counters is not None:
-                        counters.lqn_warm_starts += 1
-                        counters.lqn_warm_distance += distance
-                    seeds.append(seed)
         solved: set[frozenset[str]] = set()
         if claimed:
             try:
@@ -210,8 +150,7 @@ class LQNCoordinator:
                     [
                         configuration_to_lqn(self._ftlqn, configuration)
                         for configuration in claimed
-                    ],
-                    seeds,
+                    ]
                 )
                 with self._lock:
                     for configuration, results in zip(claimed, batch):
@@ -238,9 +177,7 @@ class LQNCoordinator:
             if configuration not in self._cache
         ]
         if retry:
-            solved |= self.ensure(
-                retry, counters=counters, warm_index=warm_index
-            )
+            solved |= self.ensure(retry, counters=counters)
         return solved
 
 
@@ -388,12 +325,6 @@ class PerformabilityAnalyzer:
         solves across them (a configuration's performance is
         independent of failure probabilities).  Default: a private
         per-analyzer dict.
-    warm_index:
-        Optional :class:`WarmStartIndex` consulted for waiting-time
-        seeds before solving uncached configurations.  Opt-in: warm
-        starts make the last ~1e-8 of each solve depend on cache
-        history (see the class docstring), so sweeps only pass one
-        when explicitly enabled.
     lqn_solver:
         Optional :data:`BatchSolver` replacing
         :func:`~repro.lqn.solver.solve_lqn_batch` for the batched LQN
@@ -422,7 +353,6 @@ class PerformabilityAnalyzer:
         common_causes: list[CommonCause] | tuple[CommonCause, ...] = (),
         structure: AnalysisStructure | None = None,
         lqn_cache: MutableMapping[frozenset[str], LQNResults] | None = None,
-        warm_index: WarmStartIndex | None = None,
         lqn_solver: BatchSolver | None = None,
         lqn_coordinator: LQNCoordinator | None = None,
     ):
@@ -454,7 +384,6 @@ class PerformabilityAnalyzer:
             self._coordinator = LQNCoordinator(
                 ftlqn, self._lqn_cache, solver=lqn_solver
             )
-        self._warm_index = warm_index
 
     # ------------------------------------------------------------------
 
@@ -609,7 +538,6 @@ class PerformabilityAnalyzer:
         self,
         *,
         method: str = "factored",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
@@ -626,33 +554,31 @@ class PerformabilityAnalyzer:
         :mod:`repro.core.bounded`; the returned probabilities then sum
         to less than one and downstream reward evaluation reports a
         rigorous interval).  Unknown names raise
-        :class:`~repro.errors.ModelError`.  ``jobs`` sets the number of
-        worker processes for the scanning backends (``1`` = sequential,
-        bit-for-bit the historical behaviour; ``0`` = all cores);
-        ``epsilon`` is only read by ``"bounded"``; ``progress`` receives
+        :class:`~repro.errors.ModelError`.  ``epsilon`` is only read
+        by ``"bounded"``; ``progress`` receives
         :class:`~repro.core.progress.ProgressEvent` notifications;
         ``counters`` collects scan statistics.
         """
         method = normalize_method(method)
         if method == "enumeration":
             return enumerate_configurations(
-                self._problem, jobs=jobs, progress=progress, counters=counters
+                self._problem, progress=progress, counters=counters
             )
         if method == "bits":
             return bitset_configurations(
-                self._problem, jobs=jobs, progress=progress, counters=counters
+                self._problem, progress=progress, counters=counters
             )
         if method == "bdd":
             return bdd_configurations(
-                self._problem, jobs=jobs, progress=progress, counters=counters
+                self._problem, progress=progress, counters=counters
             )
         if method == "bounded":
             return bounded_configurations(
-                self._problem, epsilon=epsilon, jobs=jobs, progress=progress,
+                self._problem, epsilon=epsilon, progress=progress,
                 counters=counters,
             )
         return factored_configurations(
-            self._problem, jobs=jobs, progress=progress, counters=counters
+            self._problem, progress=progress, counters=counters
         )
 
     def performance_of(self, configuration: frozenset[str]) -> LQNResults:
@@ -661,8 +587,7 @@ class PerformabilityAnalyzer:
         Cache misses route through the shared
         :class:`LQNCoordinator` as a batch of one — bitwise-equal to a
         direct :func:`~repro.lqn.solver.solve_lqn` call, and safe when
-        another thread is solving the same configuration.  (No warm
-        seeds here, matching the historical cold single solve.)
+        another thread is solving the same configuration.
         """
         cached = self._lqn_cache.get(configuration)
         if cached is None:
@@ -674,31 +599,28 @@ class PerformabilityAnalyzer:
         self,
         *,
         method: str = "factored",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
     ) -> PerformabilityResult:
         """Run the full §5 algorithm and return the result.
 
-        ``jobs``, ``epsilon`` and ``progress`` are forwarded to the
-        state-space scan (see :meth:`configuration_probabilities`); the
+        ``epsilon`` and ``progress`` are forwarded to the state-space
+        scan (see :meth:`configuration_probabilities`); the
         per-configuration LQN phase additionally reports progress under
         phase ``"lqn"``.  The returned result carries the filled
-        :class:`~repro.core.progress.ScanCounters` as ``counters`` and
-        the resolved worker count as ``jobs``.  With
+        :class:`~repro.core.progress.ScanCounters` as ``counters``.  With
         ``method="bounded"`` the result additionally carries the
         rigorous reward interval (``reward_interval``,
         ``unexplored_probability``).
         """
         method = normalize_method(method)
-        jobs = resolve_jobs(jobs)
         counters = ScanCounters()
         probabilities = self.configuration_probabilities(
-            method=method, jobs=jobs, epsilon=epsilon, progress=progress,
+            method=method, epsilon=epsilon, progress=progress,
             counters=counters,
         )
         return self.evaluate_probabilities(
-            probabilities, method=method, jobs=jobs, progress=progress,
+            probabilities, method=method, progress=progress,
             counters=counters,
         )
 
@@ -707,7 +629,6 @@ class PerformabilityAnalyzer:
         probabilities: Mapping[frozenset[str] | None, float],
         *,
         method: str = "factored",
-        jobs: int = 1,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
     ) -> PerformabilityResult:
@@ -761,9 +682,7 @@ class PerformabilityAnalyzer:
         ]
         solved_now: set[frozenset[str]] = set()
         if missing:
-            solved_now = self._coordinator.ensure(
-                missing, counters=counters, warm_index=self._warm_index
-            )
+            solved_now = self._coordinator.ensure(missing, counters=counters)
         solved = 0
         for configuration, probability in probabilities.items():
             solved += 1
@@ -839,7 +758,6 @@ class PerformabilityAnalyzer:
             expected_reward=expected,
             state_count=self._problem.state_count,
             method=method,
-            jobs=jobs,
             counters=counters,
             unexplored_probability=unexplored,
             reward_lower=reward_lower,

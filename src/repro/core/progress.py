@@ -8,8 +8,8 @@ cheap-to-update instrumentation layer:
 
 * :class:`ScanCounters` — plain additive counters (states visited,
   knowledge-bit cache hits, fault-graph evaluations, per-phase wall
-  time).  Workers of the parallel engine fill a private instance and
-  the parent merges them exactly with :meth:`ScanCounters.merge`.
+  time).  Per-point instances merge exactly with
+  :meth:`ScanCounters.merge`.
 * :class:`ProgressEvent` / :data:`ProgressCallback` — the callback
   protocol.  The engine invokes the callback with monotonically
   non-decreasing ``completed`` values per phase; ``total`` is the known
@@ -24,9 +24,8 @@ cheap-to-update instrumentation layer:
   single-line textual progress display, used by the CLI ``--progress``
   flag.
 
-Counters are pure data (no locks, no callbacks) so they pickle cleanly
-across :class:`concurrent.futures.ProcessPoolExecutor` boundaries;
-callbacks only ever run in the parent process.
+Counters are pure data (no locks, no callbacks) so they pickle
+cleanly; callbacks run in the calling process only.
 """
 
 from __future__ import annotations
@@ -34,6 +33,14 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields
+
+
+#: Counters of removed features (cross-solve LQN warm start, greedy
+#: bounds screening).  Stored rows still carry them; they load as if
+#: absent.
+RETIRED_COUNTERS = frozenset(
+    {"lqn_warm_starts", "lqn_warm_distance", "lqn_bounds_skips"}
+)
 
 
 @dataclass
@@ -87,18 +94,6 @@ class ScanCounters:
         Largest number of configurations solved in one batched LQN
         call (:func:`~repro.lqn.solver.solve_lqn_batch`).  A level
         field (merged by max).
-    lqn_warm_starts:
-        LQN solves seeded from a previously solved neighbouring
-        configuration (the sweep engine's opt-in warm-start index).
-    lqn_warm_distance:
-        Total Hamming distance (components differing between the
-        seeded configuration and its donor) over all warm starts;
-        ``lqn_warm_distance / lqn_warm_starts`` is the mean hit
-        distance.
-    lqn_bounds_skips:
-        Optimizer candidates whose full evaluation was skipped because
-        a guaranteed throughput upper bound already proved them no
-        better than the incumbent.
     sweep_points:
         Scenario points evaluated by a
         :class:`~repro.core.sweep.SweepEngine` run (0 outside sweeps).
@@ -143,9 +138,6 @@ class ScanCounters:
     lqn_cache_hits: int = 0
     lqn_unconverged: int = 0
     lqn_batch_max: int = 0
-    lqn_warm_starts: int = 0
-    lqn_warm_distance: int = 0
-    lqn_bounds_skips: int = 0
     sweep_points: int = 0
     scan_cache_hits: int = 0
     kernel_batches: int = 0
@@ -202,10 +194,17 @@ class ScanCounters:
         """Rebuild counters from :meth:`to_dict` output.
 
         Missing fields default to zero, so rows written before a
-        counter existed still load; unknown fields raise ``ValueError``
-        (a row from a *newer* schema should be re-keyed, not silently
-        truncated).
+        counter existed still load, and the counters of removed
+        features (:data:`RETIRED_COUNTERS`) are dropped, so rows written
+        before their removal load too.  Any other unknown field raises
+        ``ValueError`` (a row from a *newer* schema should be re-keyed,
+        not silently truncated).
         """
+        document = {
+            name: value
+            for name, value in document.items()
+            if name not in RETIRED_COUNTERS
+        }
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(document) - known)
         if unknown:
@@ -213,7 +212,7 @@ class ScanCounters:
                 f"unknown ScanCounters fields {unknown}; known fields: "
                 f"{sorted(known)}"
             )
-        return cls(**{name: document[name] for name in document})
+        return cls(**document)
 
 
 @dataclass(frozen=True)

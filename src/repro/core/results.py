@@ -105,8 +105,6 @@ class PerformabilityResult:
         space symbolically).
     method:
         ``"enumeration"`` or ``"factored"``.
-    jobs:
-        Worker processes used by the state-space scan (1 = sequential).
     counters:
         Instrumentation filled during :meth:`PerformabilityAnalyzer
         .solve` (states visited, cache hits, per-phase wall time); see
@@ -130,7 +128,6 @@ class PerformabilityResult:
     expected_reward: float
     state_count: int
     method: str
-    jobs: int = 1
     counters: ScanCounters | None = None
     unexplored_probability: float = 0.0
     reward_lower: float | None = None
@@ -197,7 +194,6 @@ class PerformabilityResult:
             "expected_reward": float(self.expected_reward),
             "state_count": int(self.state_count),
             "method": self.method,
-            "jobs": int(self.jobs),
             "counters": (
                 None if self.counters is None else self.counters.to_dict()
             ),
@@ -224,7 +220,6 @@ class PerformabilityResult:
             expected_reward=float(document["expected_reward"]),
             state_count=int(document["state_count"]),
             method=str(document["method"]),
-            jobs=int(document.get("jobs", 1)),
             counters=(
                 None if counters_doc is None
                 else ScanCounters.from_dict(counters_doc)

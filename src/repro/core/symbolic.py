@@ -37,11 +37,6 @@ backends (parity-gated at 1e-12 by the differential oracle and
 ``BENCH_statespace.json``), but a 100-component replicated topology —
 2^100 states, forever out of reach of any scanning backend — compiles
 to (N+1)^2 = 10,201 nodes at most and solves exactly in under a second.
-
-``jobs`` is accepted for engine-signature compatibility and ignored:
-the symbolic build is a single shared-structure computation with
-nothing embarrassingly parallel about it, and it is fast precisely
-because it shares everything.
 """
 
 from __future__ import annotations
@@ -88,7 +83,6 @@ def build_indicator_bdd(
 def bdd_configurations(
     problem: StateSpaceProblem,
     *,
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> dict[frozenset[str] | None, float]:

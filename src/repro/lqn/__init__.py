@@ -18,12 +18,6 @@ The solver is cross-validated against the discrete-event simulator in
 :mod:`repro.sim.lqn_sim` (see ``tests/lqn`` and the validation bench).
 """
 
-from repro.lqn.bounds import (
-    ClassBounds,
-    UtilizationConstraint,
-    throughput_bounds,
-    utilization_constraints,
-)
 from repro.lqn.model import LQNCall, LQNEntry, LQNModel, LQNProcessor, LQNTask
 from repro.lqn.mva import (
     BatchMVAResult,
@@ -35,12 +29,11 @@ from repro.lqn.mva import (
     schweitzer_mva,
     schweitzer_mva_batch,
 )
-from repro.lqn.results import LQNResults, WarmStart
+from repro.lqn.results import LQNResults
 from repro.lqn.solver import solve_lqn, solve_lqn_batch
 
 __all__ = [
     "BatchMVAResult",
-    "ClassBounds",
     "Discipline",
     "LQNCall",
     "LQNEntry",
@@ -51,13 +44,9 @@ __all__ = [
     "MVAResult",
     "Station",
     "StationKind",
-    "UtilizationConstraint",
-    "WarmStart",
     "exact_mva",
     "schweitzer_mva",
     "schweitzer_mva_batch",
     "solve_lqn",
     "solve_lqn_batch",
-    "throughput_bounds",
-    "utilization_constraints",
 ]

@@ -53,7 +53,7 @@ from repro.lqn.mva import (
     default_initial_queue,
     schweitzer_mva_batch,
 )
-from repro.lqn.results import LQNResults, WarmStart
+from repro.lqn.results import LQNResults
 
 #: Throughputs below this are treated as "task inactive".
 _EPSILON = 1e-12
@@ -82,10 +82,8 @@ def solve_lqn(
     tolerance: float = 1e-8,
     max_iterations: int = 2000,
     damping: float = 0.5,
-    warm_start: WarmStart | None = None,
     mva_tolerance: float = 1e-10,
     mva_max_iterations: int = 100_000,
-    mva_warm_start: bool = True,
 ) -> LQNResults:
     """Solve an LQN model for steady-state throughputs and delays.
 
@@ -100,21 +98,13 @@ def solve_lqn(
     damping:
         Fraction of each newly solved waiting time blended into the
         estimate per outer iteration (0 < damping ≤ 1).
-    warm_start:
-        Optional waiting-time seed (a previous solve's
-        :attr:`~repro.lqn.results.LQNResults.warm_start`).  Entries for
-        tasks absent from this model are ignored.  The solver converges
-        to the same fixed point either way; a good seed just gets there
-        in fewer iterations.
     mva_tolerance, mva_max_iterations:
         Convergence budget of the inner submodel AMVA solves.  An inner
         solve that exhausts its budget is a *soft* failure: the outer
         iteration continues with the best available estimates and the
-        result reports ``converged=False``.
-    mva_warm_start:
-        Seed each inner AMVA solve with the queue lengths of the same
-        submodel from the previous outer iteration (default).  Disable
-        to reproduce fully cold inner solves.
+        result reports ``converged=False``.  Each inner solve is seeded
+        with the queue lengths of the same submodel from the previous
+        outer iteration.
 
     Raises
     ------
@@ -128,10 +118,8 @@ def solve_lqn(
         tolerance=tolerance,
         max_iterations=max_iterations,
         damping=damping,
-        warm_starts=[warm_start],
         mva_tolerance=mva_tolerance,
         mva_max_iterations=mva_max_iterations,
-        mva_warm_start=mva_warm_start,
     )[0]
 
 
@@ -170,31 +158,20 @@ class _ModelState:
     active: bool = True
     inner_failed: bool = False
     # (kind, server) -> (class-name signature, final queue lengths) of
-    # the previous outer iteration, for inner warm starts.
+    # the previous outer iteration, seeding the next inner solve.
     inner_queues: dict[tuple[str, str], tuple[tuple[str, ...], np.ndarray]] = field(
         default_factory=dict
     )
 
 
-def _init_state(
-    model: LQNModel, warm_start: WarmStart | None, max_iterations: int
-) -> _ModelState:
+def _init_state(model: LQNModel, max_iterations: int) -> _ModelState:
     model.validate()
-    wait_task: dict[tuple[str, str], float] = {}
-    wait_proc: dict[str, float] = {name: 0.0 for name in model.tasks}
-    if warm_start is not None:
-        for (caller, server), value in warm_start.wait_task.items():
-            if caller in model.tasks and server in model.tasks:
-                wait_task[(caller, server)] = float(value)
-        for task, value in warm_start.wait_proc.items():
-            if task in model.tasks:
-                wait_proc[task] = float(value)
     return _ModelState(
         model=model,
         visits=_reference_visits(model),
         entry_order=_topological_entries(model),
-        wait_task=wait_task,
-        wait_proc=wait_proc,
+        wait_task={},
+        wait_proc={name: 0.0 for name in model.tasks},
         throughput_ref={r.name: 0.0 for r in model.reference_tasks()},
         service={name: 0.0 for name in model.entries},
         busy={name: 0.0 for name in model.entries},
@@ -210,10 +187,8 @@ def solve_lqn_batch(
     tolerance: float = 1e-8,
     max_iterations: int = 2000,
     damping: float = 0.5,
-    warm_starts: Sequence[WarmStart | None] | None = None,
     mva_tolerance: float = 1e-10,
     mva_max_iterations: int = 100_000,
-    mva_warm_start: bool = True,
 ) -> list[LQNResults]:
     """Solve several LQN models in lockstep with shared batched AMVA.
 
@@ -225,21 +200,11 @@ def solve_lqn_batch(
     hundreds of small Python fixed points per configuration sweep with
     a handful of vectorised ones.
 
-    ``warm_starts`` optionally provides one
-    :class:`~repro.lqn.results.WarmStart` (or ``None``) per model.
-    See :func:`solve_lqn` for the remaining parameters.
+    See :func:`solve_lqn` for the parameters.
     """
     if not 0 < damping <= 1:
         raise SolverError("damping must be in (0, 1]")
-    models = list(models)
-    if warm_starts is None:
-        warm_starts = [None] * len(models)
-    if len(warm_starts) != len(models):
-        raise SolverError("warm_starts length must equal the number of models")
-    states = [
-        _init_state(model, seed, max_iterations)
-        for model, seed in zip(models, warm_starts)
-    ]
+    states = [_init_state(model, max_iterations) for model in models]
 
     for iteration in range(max_iterations):
         live = [s for s in states if s.active]
@@ -259,7 +224,6 @@ def solve_lqn_batch(
                 deltas=deltas,
                 mva_tolerance=mva_tolerance,
                 mva_max_iterations=mva_max_iterations,
-                mva_warm_start=mva_warm_start,
             )
 
         for state in live:
@@ -482,7 +446,6 @@ def _solve_specs(
     deltas: dict[int, float],
     mva_tolerance: float,
     mva_max_iterations: int,
-    mva_warm_start: bool,
 ) -> None:
     """Solve every queued submodel in one batched AMVA call and apply
     the damped waiting-time updates to each owning model."""
@@ -503,15 +466,14 @@ def _solve_specs(
         multiplicities[i, 0] = spec.multiplicity
 
     initial = default_initial_queue(demands, populations)
-    if mva_warm_start:
-        for i, spec in enumerate(specs):
-            seeded = spec.state.inner_queues.get((spec.kind, spec.server))
-            if seeded is None:
-                continue
-            signature, queue = seeded
-            if signature != tuple(spec.classes):
-                continue
-            initial[i, : len(spec.classes), 0] = queue
+    for i, spec in enumerate(specs):
+        seeded = spec.state.inner_queues.get((spec.kind, spec.server))
+        if seeded is None:
+            continue
+        signature, queue = seeded
+        if signature != tuple(spec.classes):
+            continue
+        initial[i, : len(spec.classes), 0] = queue
 
     result = schweitzer_mva_batch(
         [_SUBMODEL_STATION],
@@ -533,11 +495,10 @@ def _solve_specs(
             # Soft failure: keep iterating with the best available
             # estimates and surface it via converged=False at the end.
             state.inner_failed = True
-        if mva_warm_start:
-            state.inner_queues[(spec.kind, spec.server)] = (
-                tuple(spec.classes),
-                result.queue_lengths[i, :n, 0].copy(),
-            )
+        state.inner_queues[(spec.kind, spec.server)] = (
+            tuple(spec.classes),
+            result.queue_lengths[i, :n, 0].copy(),
+        )
         max_change = 0.0
         if spec.kind == "task":
             for index, caller in enumerate(spec.classes):
@@ -668,8 +629,4 @@ def _collect_results(
         processor_utilizations=processor_utilizations,
         iterations=iterations,
         converged=converged,
-        warm_start=WarmStart(
-            wait_task=dict(state.wait_task),
-            wait_proc=dict(state.wait_proc),
-        ),
     )

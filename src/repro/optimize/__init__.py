@@ -20,7 +20,6 @@ from repro.optimize.frontier import (
     pareto_frontier,
 )
 from repro.optimize.search import (
-    BoundsSkip,
     CandidateEvaluation,
     DesignSpaceSearch,
     SearchResult,
@@ -44,7 +43,6 @@ from repro.optimize.spec import (
 __all__ = [
     "STYLES",
     "TOPOLOGIES",
-    "BoundsSkip",
     "Candidate",
     "CandidateEvaluation",
     "CostModel",

@@ -36,27 +36,12 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.bounded import DEFAULT_EPSILON
-from repro.core.configuration import configuration_to_lqn
-from repro.core.enumeration import normalize_method, resolve_jobs
 from repro.core.importance import importance_analysis
 from repro.core.progress import ProgressCallback, ScanCounters
 from repro.core.rewards import RewardFunction, weighted_throughput_reward
 from repro.core.sweep import SweepEngine, SweepPointResult
 from repro.errors import ModelError
-from repro.lqn.bounds import throughput_bounds
 from repro.optimize.space import Candidate, DesignSpace, UpgradeOption
-
-#: Slack of the bounds fast path's skip test.  A candidate is skipped
-#: only when its guaranteed reward upper bound is at least this far
-#: below the incumbent's reward.  The slack absorbs how far a solved
-#: reward can numerically *exceed* the analytic bound: the layered
-#: solver stops at an outer tolerance of 1e-8, so its throughputs can
-#: sit up to ~1e-8 above the true fixed point (which itself respects
-#: the bound).  1e-6 dominates that by two orders of magnitude, while
-#: staying far below any reward difference the search could care
-#: about.
-_BOUNDS_SLACK = 1e-6
-
 
 @dataclass(frozen=True)
 class CandidateEvaluation:
@@ -203,27 +188,6 @@ class TemporalRankingResult:
 
 
 @dataclass(frozen=True)
-class BoundsSkip:
-    """One candidate the greedy search proved away without solving.
-
-    ``upper_bound`` is the candidate's guaranteed expected-reward upper
-    bound (scan probabilities × per-configuration throughput bounds);
-    it satisfied ``upper_bound + 1e-6 <= incumbent_reward``
-    (``_BOUNDS_SLACK``), so the candidate provably could not beat
-    ``incumbent`` and its LQN solves were skipped entirely.
-    """
-
-    candidate: Candidate
-    upper_bound: float
-    incumbent: str
-    incumbent_reward: float
-
-    @property
-    def name(self) -> str:
-        return self.candidate.name
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """All candidates a search evaluated, plus its aggregate costs.
 
@@ -234,9 +198,7 @@ class SearchResult:
     ``counters.distinct_configurations`` counts distinct configurations
     across *all* evaluated candidates — compare it with
     ``counters.lqn_solves`` to see the shared-cache effect.
-    ``rounds`` counts accepted greedy moves (0 for exhaustive);
-    ``bounds_skips`` lists the candidates the greedy bounds fast path
-    proved away without solving (see :class:`BoundsSkip`).
+    ``rounds`` counts accepted greedy moves (0 for exhaustive).
     """
 
     evaluations: tuple[CandidateEvaluation, ...]
@@ -244,9 +206,7 @@ class SearchResult:
     space_size: int
     counters: ScanCounters
     method: str
-    jobs: int = 1
     rounds: int = 0
-    bounds_skips: tuple[BoundsSkip, ...] = ()
     store_hits: int = 0
 
     def evaluation(self, name: str) -> CandidateEvaluation:
@@ -294,26 +254,10 @@ class DesignSpaceSearch:
     weights:
         Optional reward weights per reference task; default is the
         unweighted throughput sum.
-    method / jobs / epsilon / progress / counters:
+    method / epsilon / progress / counters:
         As in :meth:`~repro.core.sweep.SweepEngine.run`, applied to
         every candidate evaluation and move-ranking importance run
         (``epsilon`` is only read by the ``bounded`` backend).
-    warm_start:
-        Opt-in: seed each candidate's uncached LQN solves from the
-        nearest already-solved configuration
-        (:class:`~repro.core.sweep.SweepEngine` ``lqn_warm_start``).
-        Same fixed points within the solver tolerance, but not
-        bit-identical to cold solves, so off by default.
-    bounds_fast_path:
-        Let the greedy walk skip candidate moves whose guaranteed
-        expected-reward upper bound (state-space scan ×
-        :func:`~repro.lqn.bounds.throughput_bounds`) already proves
-        them no better than the incumbent.  Sound — every skip is a
-        proof, and the walk's decisions are unchanged — so on by
-        default; automatically disabled for the ``bounded`` backend
-        (whose rewards are intervals) and for reward functions the
-        bound does not cover (negative weights, or an opaque custom
-        ``RewardFunction``).
     store:
         Optional :class:`~repro.campaign.store.ResultStore`: candidate
         evaluations are memoized under their content-addressed solve
@@ -335,19 +279,15 @@ class DesignSpaceSearch:
         *,
         weights: Mapping[str, float] | None = None,
         method: str = "factored",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
-        warm_start: bool = False,
-        bounds_fast_path: bool = True,
         store=None,
         lqn_solver=None,
     ):
         self.space = space
         self.method = method
         self.epsilon = epsilon
-        self.jobs = resolve_jobs(jobs)
         self.progress = progress
         self.counters = counters if counters is not None else ScanCounters()
         self._reward: RewardFunction | None = (
@@ -361,7 +301,6 @@ class DesignSpaceSearch:
             base_failure_probs=space.base_failure_probs,
             base_common_causes=space.common_causes,
             base_reward=self._reward,
-            lqn_warm_start=warm_start,
             lqn_solver=lqn_solver,
         )
         self._evaluated: dict[str, CandidateEvaluation] = {}
@@ -372,23 +311,6 @@ class DesignSpaceSearch:
         self._ftlqn_document: dict | None = None
         self._mama_documents: dict[str, dict] = {}
         self._weights = None if weights is None else dict(weights)
-        # Bounds fast path: the reward weights the upper bound is taken
-        # over (None when the reward is opaque and cannot be bounded).
-        bound_weights = getattr(self._reward, "weights", None)
-        if self._reward is None:
-            bound_weights = {
-                task.name: 1.0 for task in space.ftlqn.reference_tasks()
-            }
-        self._bounds_enabled = (
-            bounds_fast_path
-            and normalize_method(method) != "bounded"
-            and bound_weights is not None
-            and all(weight >= 0.0 for weight in bound_weights.values())
-        )
-        self._bound_weights: dict[str, float] = dict(bound_weights or {})
-        self._bound_cache: dict[frozenset[str], float] = {}
-        self._bounds_skips: list[BoundsSkip] = []
-
     # ------------------------------------------------------------------
 
     @property
@@ -422,7 +344,7 @@ class DesignSpaceSearch:
             run_counters = ScanCounters()
             sweep = self.engine.run(
                 [candidate.sweep_point() for candidate in fresh],
-                method=self.method, jobs=self.jobs, epsilon=self.epsilon,
+                method=self.method, epsilon=self.epsilon,
                 progress=self.progress, counters=run_counters,
             )
             self.counters.merge(run_counters)
@@ -514,9 +436,7 @@ class DesignSpaceSearch:
             space_size=self.space.size,
             counters=self.counters,
             method=self.method,
-            jobs=self.jobs,
             rounds=rounds,
-            bounds_skips=tuple(self._bounds_skips),
             store_hits=self._store_hits,
         )
 
@@ -606,12 +526,12 @@ class DesignSpaceSearch:
             curve = analyzer.evaluate(
                 times,
                 architecture=candidate.architecture,
-                method=self.method, jobs=self.jobs, epsilon=self.epsilon,
+                method=self.method, epsilon=self.epsilon,
                 progress=self.progress, counters=self.counters,
             )
             (erosion,) = analyzer.erosion_curve(
                 [candidate_latency],
-                method=self.method, jobs=self.jobs, epsilon=self.epsilon,
+                method=self.method, epsilon=self.epsilon,
                 progress=self.progress, counters=self.counters,
             )
             evaluations.append(TemporalCandidateEvaluation(
@@ -696,7 +616,6 @@ class DesignSpaceSearch:
         rounds = 0
         while max_rounds is None or rounds < max_rounds:
             moves = self._moves(current.candidate, move_limit=move_limit)
-            moves = self._screen_moves(moves, current)
             if not moves:
                 break
             evaluated = self.evaluate(moves)
@@ -706,78 +625,6 @@ class DesignSpaceSearch:
             current = best
             rounds += 1
         return rounds
-
-    def _screen_moves(
-        self,
-        moves: list[Candidate],
-        incumbent: CandidateEvaluation,
-    ) -> list[Candidate]:
-        """Drop moves the bounds fast path proves cannot improve.
-
-        A move is skipped only when its guaranteed expected-reward
-        upper bound sits at least ``_BOUNDS_SLACK`` below the
-        incumbent's reward: since the solved reward never exceeds the
-        bound by more than the solver's own convergence tolerance
-        (which the slack dominates), a skipped move could never have
-        been accepted by the strictly-improving walk, so the walk's
-        trajectory — and the final ``best()`` — are exactly what full
-        evaluation would have produced.  Already-memoised candidates
-        pass straight through (their evaluation is free).
-        """
-        if not self._bounds_enabled:
-            return moves
-        kept: list[Candidate] = []
-        for move in moves:
-            if move.name in self._evaluated:
-                kept.append(move)
-                continue
-            upper_bound = self._candidate_upper_bound(move)
-            if upper_bound + _BOUNDS_SLACK <= incumbent.expected_reward:
-                self.counters.lqn_bounds_skips += 1
-                self._bounds_skips.append(
-                    BoundsSkip(
-                        candidate=move,
-                        upper_bound=upper_bound,
-                        incumbent=incumbent.name,
-                        incumbent_reward=incumbent.expected_reward,
-                    )
-                )
-            else:
-                kept.append(move)
-        return kept
-
-    def _candidate_upper_bound(self, candidate: Candidate) -> float:
-        """Guaranteed upper bound on a candidate's expected reward:
-        its configuration probabilities (via the engine's shared scan
-        cache — the scan is reused if the candidate is evaluated after
-        all) folded against per-configuration reward bounds."""
-        probabilities, _ = self.engine.scan_for(
-            candidate.sweep_point(),
-            method=self.method, jobs=self.jobs, epsilon=self.epsilon,
-            progress=self.progress, counters=self.counters,
-        )
-        total = 0.0
-        for configuration, probability in probabilities.items():
-            total += probability * self._configuration_bound(configuration)
-        return total
-
-    def _configuration_bound(self, configuration: frozenset[str] | None) -> float:
-        """Cached Σ w_r · (throughput bound of r) of one configuration
-        (0 for the failed configuration, like its reward)."""
-        if configuration is None:
-            return 0.0
-        cached = self._bound_cache.get(configuration)
-        if cached is None:
-            bounds = throughput_bounds(
-                configuration_to_lqn(self.space.ftlqn, configuration)
-            )
-            cached = sum(
-                weight * bounds[name].throughput
-                for name, weight in self._bound_weights.items()
-                if name in bounds
-            )
-            self._bound_cache[configuration] = cached
-        return cached
 
     def _moves(
         self, candidate: Candidate, *, move_limit: int | None
@@ -849,7 +696,6 @@ class DesignSpaceSearch:
                 components=measurable,
                 common_causes=self.space.common_causes,
                 method=self.method,
-                jobs=self.jobs,
                 progress=self.progress,
                 counters=self.counters,
                 structure=self.engine.structure_for(candidate.architecture),

@@ -1,10 +1,9 @@
 """The fuzzing campaign driver behind ``repro verify`` and ``make fuzz``.
 
 :func:`run_fuzz` walks a seed range through the scenario generator and
-the differential oracle, periodically widening the check (parallel
-scans every ``parallel_every`` seeds, the Monte-Carlo simulation
-cross-check every ``sim_every`` seeds), shrinks any disagreement to a
-minimal counterexample, and returns a JSON-serialisable
+the differential oracle, periodically widening the check (the
+Monte-Carlo simulation cross-check every ``sim_every`` seeds), shrinks
+any disagreement to a minimal counterexample, and returns a JSON-serialisable
 :class:`FuzzReport` carrying per-seed outcomes, the shrunken
 counterexamples, their standalone repro scripts and ready-to-commit
 corpus entries.
@@ -64,7 +63,6 @@ class SeedOutcome:
     distinct_configurations: int
     simulated: bool
     temporal_checked: bool
-    jobs_checked: tuple[int, ...]
     disagreements: list[dict] = field(default_factory=list)
     shrunken: dict | None = None
     shrink_steps: list[str] = field(default_factory=list)
@@ -84,7 +82,6 @@ class SeedOutcome:
             "distinct_configurations": self.distinct_configurations,
             "simulated": self.simulated,
             "temporal_checked": self.temporal_checked,
-            "jobs_checked": list(self.jobs_checked),
             "disagreements": self.disagreements,
             "shrunken": self.shrunken,
             "shrink_steps": self.shrink_steps,
@@ -128,9 +125,6 @@ class FuzzReport:
             "temporal_checks": sum(
                 1 for o in self.outcomes if o.temporal_checked
             ),
-            "parallel_checks": sum(
-                1 for o in self.outcomes if len(o.jobs_checked) > 1
-            ),
             "outcomes": [outcome.as_dict() for outcome in self.outcomes],
         }
 
@@ -143,9 +137,7 @@ def run_fuzz(
     backends: Sequence[str] | None = None,
     space: ScenarioSpace = DEFAULT_SPACE,
     config: OracleConfig = DEFAULT_ORACLE_CONFIG,
-    jobs: int = 2,
     sim_every: int = 10,
-    parallel_every: int = 25,
     temporal_every: int = 10,
     shrink: bool = True,
     log: FuzzLog | None = None,
@@ -153,11 +145,9 @@ def run_fuzz(
 ) -> FuzzReport:
     """Run one fuzzing campaign and return its report.
 
-    Every seed runs all selected backends serially; every
-    ``parallel_every``-th seed additionally re-runs them with
-    ``jobs`` worker processes, and every ``sim_every``-th seed adds the
-    Monte-Carlo cross-check (0 disables either; both are keyed on the
-    seed *value*, so the same seed gets the same check strength in any
+    Every seed runs all selected backends; every ``sim_every``-th seed
+    adds the Monte-Carlo cross-check (0 disables it; keyed on the seed
+    *value*, so the same seed gets the same check strength in any
     range).  Disagreements are shrunk (unless ``shrink=False``) with a
     predicate that replays only the *analytic* part of the oracle —
     simulation-only disagreements are reported but not shrunk, since
@@ -191,9 +181,6 @@ def run_fuzz(
             stopped = True
             break
         seed = seed_start + index
-        jobs_checked = (1,)
-        if parallel_every and jobs > 1 and seed % parallel_every == 0:
-            jobs_checked = (1, jobs)
         simulate = bool(sim_every) and seed % sim_every == 0
         temporal = bool(temporal_every) and seed % temporal_every == 0
 
@@ -205,16 +192,13 @@ def run_fuzz(
             key = _fuzz_point_key(
                 scenario.to_document(),
                 backends=backend_names,
-                jobs_checked=jobs_checked,
                 simulate=simulate,
                 temporal=temporal,
                 oracle_config=oracle_document,
             )
             stored = store.get(key)
             if stored is not None:
-                outcome = _outcome_from_store(
-                    seed, stored.document, jobs_checked
-                )
+                outcome = _outcome_from_store(seed, stored.document)
                 outcomes.append(outcome)
                 if log is not None:
                     log(outcome)
@@ -223,7 +207,6 @@ def run_fuzz(
         report = check_scenario(
             scenario,
             backends=table,
-            jobs=jobs_checked,
             simulate=simulate,
             temporal=temporal,
             config=config,
@@ -236,7 +219,6 @@ def run_fuzz(
             distinct_configurations=report.distinct_configurations,
             simulated=report.simulated,
             temporal_checked=report.temporal_checked,
-            jobs_checked=jobs_checked,
             disagreements=[d.as_dict() for d in report.disagreements],
         )
         if store is not None:
@@ -251,7 +233,6 @@ def run_fuzz(
                     "ok": report.ok,
                     "reference_backend": report.reference_backend,
                     "backends_checked": list(report.backends_checked),
-                    "jobs_checked": list(report.jobs_checked),
                     "simulated": report.simulated,
                     "temporal_checked": report.temporal_checked,
                     "bounded_checked": report.bounded_checked,
@@ -276,7 +257,7 @@ def run_fuzz(
             for d in report.disagreements
         )
         if not report.ok and shrink and analytic_failure:
-            _shrink_outcome(outcome, scenario, table, jobs_checked, config)
+            _shrink_outcome(outcome, scenario, table, config)
         outcome.seconds = time.perf_counter() - seed_started
         outcomes.append(outcome)
         if log is not None:
@@ -291,9 +272,7 @@ def run_fuzz(
     )
 
 
-def _outcome_from_store(
-    seed: int, document: dict, jobs_checked: tuple[int, ...]
-) -> SeedOutcome:
+def _outcome_from_store(seed: int, document: dict) -> SeedOutcome:
     """A ``cached`` outcome rebuilt from a stored check document.
 
     The stored verdict stands — in particular a remembered failure
@@ -309,7 +288,6 @@ def _outcome_from_store(
         ),
         simulated=bool(document.get("simulated", False)),
         temporal_checked=bool(document.get("temporal_checked", False)),
-        jobs_checked=jobs_checked,
         disagreements=list(document.get("disagreements", [])),
         cached=True,
     )
@@ -319,22 +297,17 @@ def _shrink_outcome(
     outcome: SeedOutcome,
     scenario: Scenario,
     table,
-    jobs_checked: tuple[int, ...],
     config: OracleConfig,
 ) -> None:
     """Shrink ``scenario`` and attach the artifacts to ``outcome``."""
 
     def predicate(candidate: Scenario) -> bool:
-        replay = check_scenario(
-            candidate, backends=table, jobs=jobs_checked, config=config
-        )
+        replay = check_scenario(candidate, backends=table, config=config)
         return any(d.kind != "simulation" for d in replay.disagreements)
 
     result: ShrinkResult = shrink_scenario(scenario, predicate)
     minimal = result.scenario
-    final = check_scenario(
-        minimal, backends=table, jobs=jobs_checked, config=config
-    )
+    final = check_scenario(minimal, backends=table, config=config)
     identifier = f"fuzz-seed-{outcome.seed}"
     note = (
         f"Found by `repro verify` on generated seed {outcome.seed}; "
@@ -347,7 +320,6 @@ def _shrink_outcome(
         minimal,
         note=note,
         backends=tuple(table),
-        jobs=jobs_checked,
         filename=f"counterexample-{outcome.seed}.py",
     )
     outcome.corpus = corpus_entry(

@@ -4,7 +4,7 @@ A scenario passes the oracle when
 
 1. every exact backend (interpreted enumeration, factored BDD
    evaluation, compiled bit-parallel kernel, fully symbolic ROBDD
-   traversal), serial and parallel alike, produces the *same
+   traversal) produces the *same
    configuration set* with probabilities agreeing to ``tolerance``
    (1e-12) against the interpreted reference;
 2. the reference probabilities sum to 1 within ``total_tolerance``;
@@ -22,7 +22,7 @@ A scenario passes the oracle when
    reconfiguration event-by-event instead of scanning the state space.
 
 The backend set is injectable (``backends=`` maps names to callables
-with the ``(problem, *, jobs, progress, counters)`` engine signature),
+with the ``(problem, *, progress, counters)`` engine signature),
 which is how the mutation self-test proves the oracle catches a
 deliberately broken kernel, and how future backends join the parity
 net without touching this module.
@@ -160,7 +160,7 @@ class Disagreement:
     uniformization series disagrees with the closed-form marginal, the
     ``t → ∞`` limit drifts off the static scan, the transient curve
     falls outside the Monte-Carlo interval, or the detection-delay
-    erosion factor left (0, 1]).  ``backend`` is ``"<name>@jobs=N"``,
+    erosion factor left (0, 1]).  ``backend`` is the backend name,
     ``"bounded"``, ``"sim"``, ``"uniformization"``, ``"temporal"``,
     ``"temporal-sim"`` or ``"detection-delay"``; ``magnitude`` is the
     observed absolute error.
@@ -187,7 +187,6 @@ class OracleReport:
     scenario: Scenario
     reference_backend: str
     backends_checked: tuple[str, ...]
-    jobs_checked: tuple[int, ...]
     disagreements: list[Disagreement] = field(default_factory=list)
     simulated: bool = False
     bounded_checked: bool = False
@@ -205,8 +204,7 @@ class OracleReport:
         """One human-readable line per disagreement (or ``"ok"``)."""
         if self.ok:
             return (
-                f"ok: {len(self.backends_checked)} backends x jobs "
-                f"{list(self.jobs_checked)} agree on "
+                f"ok: {len(self.backends_checked)} backends agree on "
                 f"{self.distinct_configurations} configurations "
                 f"({self.state_count} states)"
             )
@@ -593,14 +591,13 @@ def check_scenario(
     scenario: Scenario,
     *,
     backends: Mapping[str, BackendFn] | None = None,
-    jobs: Sequence[int] = (1,),
     simulate: bool = False,
     temporal: bool = False,
     config: OracleConfig = DEFAULT_ORACLE_CONFIG,
 ) -> OracleReport:
     """Run one scenario through every backend and compare the results.
 
-    The first backend in ``backends`` at ``jobs[0]`` is the reference;
+    The first backend in ``backends`` is the reference;
     with the default table that is the interpreted enumerative scan,
     the most literal rendering of the paper's semantics.  Unless
     ``config.bounded_epsilon`` is ``None``, the bounded enumerator is
@@ -617,36 +614,33 @@ def check_scenario(
     table = dict(backends) if backends is not None else default_backends()
     if not table:
         raise ModelError("the oracle needs at least one backend")
-    jobs = tuple(jobs) or (1,)
 
     analyzer = scenario.analyzer()
     problem: StateSpaceProblem = analyzer.problem
     reference_backend = next(iter(table))
 
     disagreements: list[Disagreement] = []
-    results: dict[tuple[str, int], dict[frozenset[str] | None, float]] = {}
-    for name, backend in table.items():
-        for job_count in jobs:
-            results[(name, job_count)] = backend(
-                problem, jobs=job_count, counters=ScanCounters()
-            )
+    results = {
+        name: backend(problem, counters=ScanCounters())
+        for name, backend in table.items()
+    }
 
-    reference = results[(reference_backend, jobs[0])]
+    reference = results[reference_backend]
     total = sum(reference.values())
     if abs(total - 1.0) > config.total_tolerance:
         disagreements.append(
             Disagreement(
                 kind="total-mass",
-                backend=f"{reference_backend}@jobs={jobs[0]}",
+                backend=reference_backend,
                 detail=f"probabilities sum to {total:.15g}, not 1",
                 magnitude=abs(total - 1.0),
             )
         )
-    for (name, job_count), candidate in results.items():
-        if (name, job_count) == (reference_backend, jobs[0]):
+    for name, candidate in results.items():
+        if name == reference_backend:
             continue
         _compare_maps(
-            f"{name}@jobs={job_count}",
+            name,
             reference,
             candidate,
             config.tolerance,
@@ -657,7 +651,6 @@ def check_scenario(
         scenario=scenario,
         reference_backend=reference_backend,
         backends_checked=tuple(table),
-        jobs_checked=jobs,
         disagreements=disagreements,
         state_count=problem.state_count,
         distinct_configurations=len(reference),

@@ -112,24 +112,23 @@ class TestCompile:
     def test_fuzz_schedule_is_seed_based(self):
         compiled = make_spec([
             FuzzWorkload(label="f", seeds=4, seed_start=9,
-                         sim_every=10, parallel_every=11, jobs=2),
+                         sim_every=10, temporal_every=11),
         ]).compile()
         by_seed = {p.payload["seed"]: p.payload for p in compiled.points}
         assert sorted(by_seed) == [9, 10, 11, 12]
         assert [by_seed[s]["simulate"] for s in (9, 10, 11, 12)] == [
             False, True, False, False,
         ]
-        assert by_seed[11]["jobs_checked"] == [1, 2]
-        assert by_seed[9]["jobs_checked"] == [1]
+        assert [by_seed[s]["temporal"] for s in (9, 10, 11, 12)] == [
+            False, False, True, False,
+        ]
 
     def test_fuzz_keys_do_not_depend_on_range_position(self):
         first = make_spec(
-            [FuzzWorkload(label="f", seeds=3, seed_start=0,
-                          sim_every=0, parallel_every=0)]
+            [FuzzWorkload(label="f", seeds=3, seed_start=0, sim_every=0)]
         ).compile()
         offset = make_spec(
-            [FuzzWorkload(label="f", seeds=1, seed_start=2,
-                          sim_every=0, parallel_every=0)]
+            [FuzzWorkload(label="f", seeds=1, seed_start=2, sim_every=0)]
         ).compile()
         assert offset.points[0].key == first.points[2].key
 
@@ -170,6 +169,18 @@ class TestJsonFormat:
     def test_unknown_spec_key_rejected(self, tmp_path):
         document = self.document()
         document["worloads"] = document.pop("workloads")
+        path = self.write_files(tmp_path, document)
+        with pytest.raises(SerializationError, match="unknown keys"):
+            load_campaign_spec(path)
+
+    @pytest.mark.parametrize("retired", ["jobs", "parallel_every"])
+    def test_fuzz_workload_rejects_retired_parallel_keys(
+        self, tmp_path, retired
+    ):
+        document = self.document()
+        document["workloads"] = [
+            {"kind": "fuzz", "label": "fuzz", "seeds": 2, retired: 2}
+        ]
         path = self.write_files(tmp_path, document)
         with pytest.raises(SerializationError, match="unknown keys"):
             load_campaign_spec(path)

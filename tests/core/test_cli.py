@@ -231,13 +231,6 @@ class TestSweep:
         assert len(lines) == 5
         assert lines[0].startswith("name,architecture,expected_reward")
 
-    def test_sweep_warm_start_flag(self, spec_files, capsys):
-        _, spec = spec_files
-        assert main(["sweep", spec, "--warm-start"]) == 0
-        out = capsys.readouterr().out
-        assert "sweep: 4 points" in out
-        assert "max batch" in out
-
     def test_sweep_progress_flag(self, spec_files, capsys):
         _, spec = spec_files
         assert main(["sweep", spec, "--progress"]) == 0
@@ -306,7 +299,7 @@ class TestImportance:
         assert "reward imp." in out
         assert "AppB" in out
 
-    def test_json_export_with_jobs(self, model_files, tmp_path, capsys):
+    def test_json_export(self, model_files, tmp_path, capsys):
         ftlqn, _, _ = model_files
         probs_path = ftlqn.replace("figure1.json", "p.json")
         with open(probs_path, "w") as handle:
@@ -314,13 +307,13 @@ class TestImportance:
         json_out = tmp_path / "importance.json"
         code = main([
             "importance", ftlqn, "--probs", probs_path,
-            "--jobs", "2", "--json", str(json_out), "--progress",
+            "--json", str(json_out), "--progress",
         ])
         assert code == 0
         assert "[scan]" in capsys.readouterr().err
         document = json.loads(json_out.read_text())
         assert document["method"] == "factored"
-        assert document["jobs"] == 2
+        assert "jobs" not in document
         assert document["counters"]["lqn_solves"] > 0
         names = [record["component"] for record in document["records"]]
         assert len(names) == 8 and "AppB" in names
@@ -392,19 +385,6 @@ class TestOptimize:
         assert len(lines) == 7
         assert lines[0].startswith("name,architecture,topology")
 
-    def test_optimize_new_flags(self, optimize_spec, capsys):
-        _, spec = optimize_spec
-        assert main(
-            ["optimize", spec, "--strategy", "greedy", "--warm-start"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "bounds skips" in out
-        assert main(
-            ["optimize", spec, "--strategy", "greedy", "--no-bounds"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "0 bounds skips" in out
-
     def test_strategy_and_budget_overrides(self, optimize_spec, capsys):
         _, spec = optimize_spec
         code = main([
@@ -475,7 +455,7 @@ class TestVerify:
         report_path = tmp_path / "report.json"
         code = main([
             "verify", "--seeds", "6", "--sim-every", "0",
-            "--parallel-every", "0", "--json", str(report_path),
+            "--json", str(report_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -490,7 +470,7 @@ class TestVerify:
     def test_backend_selection_and_progress(self, capsys):
         code = main([
             "verify", "--seeds", "2", "--sim-every", "0",
-            "--parallel-every", "0", "--backends", "interp,bits",
+            "--backends", "interp,bits",
             "--progress",
         ])
         assert code == 0
@@ -506,7 +486,7 @@ class TestVerify:
         artifacts = tmp_path / "artifacts"
         code = main([
             "verify", "--seeds", "2", "--sim-every", "0",
-            "--parallel-every", "0", "--artifacts", str(artifacts),
+            "--artifacts", str(artifacts),
         ])
         assert code == 0
         report = json.loads((artifacts / "report.json").read_text())
@@ -518,7 +498,7 @@ class TestVerify:
     def test_time_budget_stops_early(self, capsys):
         code = main([
             "verify", "--seeds", "500", "--time-budget", "0.0",
-            "--sim-every", "0", "--parallel-every", "0",
+            "--sim-every", "0",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -531,6 +511,26 @@ class TestVerify:
         assert "--seeds" in helptext
         assert "--time-budget" in helptext
         assert "testing_guide" in helptext
+
+
+class TestRetiredFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze", "--jobs"),
+        ("temporal", "--jobs"),
+        ("importance", "--jobs"),
+        ("sweep", "--jobs"),
+        ("sweep", "--warm-start"),
+        ("optimize", "--jobs"),
+        ("optimize", "--warm-start"),
+        ("optimize", "--no-bounds"),
+        ("verify", "--jobs"),
+        ("verify", "--parallel-every"),
+    ])
+    def test_flag_is_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert flag not in capsys.readouterr().out
 
 
 class TestVersionFlag:

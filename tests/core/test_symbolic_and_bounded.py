@@ -44,12 +44,6 @@ class TestSymbolicCounters:
         assert counters.distinct_configurations == len(result)
         assert counters.scan_seconds > 0.0
 
-    def test_jobs_argument_is_accepted_and_ignored(self):
-        analyzer = analyzer_for(3)
-        serial = bdd_configurations(analyzer.problem, jobs=1)
-        parallel = bdd_configurations(analyzer.problem, jobs=4)
-        assert serial == parallel
-
 
 class TestSymbolicStructure:
     @pytest.mark.parametrize("n", [10, 50, 100])

@@ -53,19 +53,13 @@ def test_healthy_scenarios_pass():
         assert "agree" in report.summary()
 
 
-def test_parallel_jobs_are_checked():
-    report = check_scenario(generate_scenario(3), jobs=(1, 2))
-    assert report.ok, report.summary()
-    assert report.jobs_checked == (1, 2)
-
-
 def _broken(perturb):
     """A backend that post-processes the interpreted scan's output."""
 
-    def backend(problem, *, jobs=1, progress=None, counters=None):
+    def backend(problem, *, progress=None, counters=None):
         return perturb(
             enumerate_configurations(
-                problem, jobs=jobs, progress=progress, counters=counters
+                problem, progress=progress, counters=counters
             )
         )
 
@@ -86,7 +80,7 @@ def test_probability_perturbation_is_detected():
     assert not report.ok
     kinds = {d.kind for d in report.disagreements}
     assert "probability" in kinds
-    assert any(d.backend == "bad@jobs=1" for d in report.disagreements)
+    assert any(d.backend == "bad" for d in report.disagreements)
     assert all(d.magnitude >= 9e-10 for d in report.disagreements
                if d.kind == "probability")
 
@@ -181,10 +175,10 @@ def test_bounded_violation_is_detected(monkeypatch):
     from repro.core.bounded import bounded_configurations
     from repro.verify import oracle as oracle_module
 
-    def inflated(problem, *, epsilon, jobs=1, progress=None, counters=None):
+    def inflated(problem, *, epsilon, progress=None, counters=None):
         result = dict(
             bounded_configurations(
-                problem, epsilon=epsilon, jobs=jobs, counters=counters
+                problem, epsilon=epsilon, counters=counters
             )
         )
         key = max(result, key=result.get)
