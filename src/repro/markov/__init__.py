@@ -14,7 +14,8 @@ this package supplies the dynamic underpinning and the §7 extension:
 * :mod:`repro.markov.detection` — the detection/reconfiguration-delay
   extension sketched in §7 (following [29]): a Markov-reward model over
   (component state, active configuration) pairs where reconfiguration
-  happens at a finite rate rather than instantaneously.
+  happens at a finite rate rather than instantaneously, solved per
+  configuration over the down-sets alone.
 """
 
 from repro.markov.ctmc import CTMC

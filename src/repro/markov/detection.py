@@ -19,6 +19,18 @@ instantaneous model (validated in ``tests/markov``); as the rate falls,
 reward degrades — quantifying the §7 trade-off between heartbeat
 traffic and coverage.
 
+The pair chain is never built.  The down-set D evolves independently
+of the active configuration, so its marginal m(D) is the product form
+and stationarity decouples into one system per configuration A:
+
+    x_A^T (δI − Q_D) = δ · (m ∘ 1[target(D) = A])^T,   π(D, A) = x_A[D],
+
+with Q_D the Kronecker sum of the components' 2×2 generators.  Solved
+through each component's eigenbasis this costs O(k · 2^k · |A|) for k
+unreliable components: the §7 blow-up is 2^k in the down-sets alone.
+The explicit chain is the oracle's reference arm
+(:func:`repro.verify.oracle.detection_delay_reference`).
+
 Knowledge is taken as perfect here (the architecture-coverage and the
 latency questions are orthogonal; combining both multiplies the state
 space, exactly the blow-up §7 warns about).
@@ -30,16 +42,13 @@ import math
 from dataclasses import dataclass
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.core.configuration import group_support
 from repro.errors import ModelError
 from repro.ftlqn.fault_graph import PERFECT_KNOWLEDGE, build_fault_graph
 from repro.ftlqn.model import FTLQNModel
 from repro.markov.availability import ComponentAvailability, validate_rates
-from repro.markov.ctmc import CTMC
-
-#: Marker for "no operational configuration" in chain states.
-FAILED = "__failed__"
-
 
 @dataclass(frozen=True)
 class DelayModelResult:
@@ -56,16 +65,15 @@ class DelayModelResult:
         Steady-state probability that the active configuration differs
         from the one instantaneous reconfiguration would use.
     state_count:
-        Number of (down-set, active configuration) states in the chain.
-    chain:
-        The underlying CTMC (for further transient analysis).
+        Number of reachable (down-set, active configuration) states:
+        2^k down-sets times the distinct target configurations
+        (counting system failure as one).
     """
 
     expected_reward: float
     instantaneous_reward: float
     stale_probability: float
     state_count: int
-    chain: CTMC
 
 
 def detection_delay_model(
@@ -75,7 +83,7 @@ def detection_delay_model(
     *,
     detection_rate: float,
 ) -> DelayModelResult:
-    """Build and solve the delay extension for an FTLQN system.
+    """Solve the delay extension for an FTLQN system.
 
     Parameters
     ----------
@@ -105,107 +113,88 @@ def detection_delay_model(
             component=name,
         )
 
+    # A component that never fails is never in a reachable down-set.
+    names = [name for name in sorted(rates) if rates[name].failure_rate > 0]
+    k = len(names)
+    size = 1 << k
+    # Down-set i holds names[c] iff bit k-1-c is set, so a C-order
+    # reshape to (2,) * k puts component c on axis c.
+    bits = {name: 1 << (k - 1 - c) for c, name in enumerate(names)}
+
     graph = build_fault_graph(ftlqn)
-    names = sorted(rates)
+    leaves = [leaf.name for leaf in graph.leaves()]
+    # Column 0 is system failure (configuration None), which earns 0.
+    column_of: dict[frozenset[str] | None, int] = {None: 0}
+    target = np.empty(size, dtype=np.intp)
+    for index in range(size):
+        down = {name for name in names if index & bits[name]}
+        configuration = graph.evaluate(
+            {leaf: leaf not in down for leaf in leaves}, PERFECT_KNOWLEDGE
+        ).configuration
+        target[index] = column_of.setdefault(configuration, len(column_of))
+    labels = list(column_of)
 
-    def target_configuration(down: frozenset[str]):
-        state = {
-            leaf.name: leaf.name not in down for leaf in graph.leaves()
-        }
-        return graph.evaluate(state, PERFECT_KNOWLEDGE).configuration
-
-    def config_key(configuration):
-        return FAILED if configuration is None else configuration
-
-    def reward_of(down: frozenset[str], active) -> float:
-        if active == FAILED:
-            return 0.0
-        rewards = group_rewards.get(active)
+    # r(D, A): a group earns its reward while A's route for it is up.
+    states = np.arange(size)
+    reward = np.zeros((size, len(labels)))
+    for column, configuration in enumerate(labels[1:], start=1):
+        rewards = group_rewards.get(configuration)
         if rewards is None:
             raise ModelError(
-                f"group_rewards missing configuration {sorted(active)}"
+                f"group_rewards missing configuration {sorted(configuration)}"
             )
-        total = 0.0
         for group, value in rewards.items():
-            support = group_support(ftlqn, active, group)
-            if not (support & down):
-                total += value
-        return total
+            support = group_support(ftlqn, configuration, group)
+            mask = sum(bits.get(name, 0) for name in support)
+            reward[:, column] += value * ((states & mask) == 0)
 
-    chain = CTMC()
-    rewards_by_state: dict[object, float] = {}
-    stale_states: set[object] = set()
-    instantaneous = 0.0
-
-    start_down: frozenset[str] = frozenset()
-    start = (start_down, config_key(target_configuration(start_down)))
-    frontier = [start]
-    seen = {start}
-    down_probability_cache: dict[frozenset[str], float] = {}
-
-    while frontier:
-        state = frontier.pop()
-        down, active = state
-        chain.add_state(state)
-        rewards_by_state[state] = reward_of(down, active)
-        target = config_key(target_configuration(down))
-        if target != active:
-            stale_states.add(state)
-            successor = (down, target)
-            chain.add_transition(
-                state, successor, rate=detection_rate
-            )
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-        for name in names:
-            availability = rates[name]
-            if name in down:
-                next_down = down - {name}
-                rate = availability.repair_rate
-            else:
-                next_down = down | {name}
-                rate = availability.failure_rate
-            if rate == 0:
-                # A zero-rate edge (a component that never fails) leads
-                # nowhere; expanding its successor would double the
-                # reachable state space per such component for nothing.
-                continue
-            successor = (next_down, active)
-            chain.add_transition(state, successor, rate=rate)
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-
-    steady = chain.steady_state()
-    expected = chain.expected_reward_rate(rewards_by_state, steady)
-    stale_probability = sum(
-        probability
-        for state, probability in steady.items()
-        if state in stale_states
+    unavailability = [rates[name].unavailability for name in names]
+    probability = np.ones(1)
+    for u in unavailability:
+        probability = np.outer(probability, (1.0 - u, u)).ravel()
+    coupling = np.zeros((size, len(labels)))
+    coupling[states, target] = probability
+    pi = _solve_columns(
+        coupling,
+        unavailability,
+        [rates[name].failure_rate + rates[name].repair_rate for name in names],
+        detection_rate,
     )
 
-    # Instantaneous baseline: weight each down-set by its product-form
-    # probability, reward from its own target configuration.
-    def down_probability(down: frozenset[str]) -> float:
-        cached = down_probability_cache.get(down)
-        if cached is None:
-            cached = 1.0
-            for name in names:
-                u = rates[name].unavailability
-                cached *= u if name in down else 1.0 - u
-            down_probability_cache[down] = cached
-        return cached
-
-    down_sets = {state[0] for state in steady}
-    for down in down_sets:
-        active = config_key(target_configuration(down))
-        instantaneous += down_probability(down) * reward_of(down, active)
-
+    on_target = float(pi[states, target].sum())
     return DelayModelResult(
-        expected_reward=expected,
-        instantaneous_reward=instantaneous,
-        stale_probability=stale_probability,
-        state_count=len(chain),
-        chain=chain,
+        expected_reward=float((pi * reward).sum()),
+        instantaneous_reward=float(probability @ reward[states, target]),
+        stale_probability=max(0.0, 1.0 - on_target),
+        state_count=size * len(np.unique(target)),
     )
+
+
+def _solve_columns(
+    coupling: np.ndarray,
+    unavailability: list[float],
+    decay: list[float],
+    detection_rate: float,
+) -> np.ndarray:
+    """Solve x_A^T (δI − Q_D) = δ · coupling_A^T for every column A.
+
+    Component c's generator [[−λ, λ], [μ, −μ]] (up, down) has
+    eigenvalues 0 and −(λ+μ) and eigenbasis V = [[1, u], [1, u − 1]],
+    V^{-1} = [[1 − u, u], [1, −1]] (u = λ/(λ+μ)), so
+    δ(δI − Q_D)^{-1} = (⊗V) diag(δ / (δ + s)) (⊗V^{-1}) with s the
+    summed λ+μ of each eigen-index: no 2^k × 2^k matrix is formed.
+    """
+    size, width = coupling.shape
+    scale = np.zeros(1)
+    for rate in decay:
+        scale = np.add.outer(scale, (0.0, rate)).ravel()
+    x = coupling
+    for c, u in enumerate(unavailability):
+        basis = np.array([[1.0, u], [1.0, u - 1.0]])
+        x = np.einsum("aib,ij->ajb", x.reshape(1 << c, 2, -1), basis)
+    shrink = detection_rate / (detection_rate + scale)
+    x = x.reshape(size, width) * shrink[:, None]
+    for c, u in enumerate(unavailability):
+        inverse = np.array([[1.0 - u, u], [1.0, -1.0]])
+        x = np.einsum("aib,ij->ajb", x.reshape(1 << c, 2, -1), inverse)
+    return x.reshape(size, width)

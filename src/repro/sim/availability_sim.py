@@ -19,8 +19,8 @@ schedules one fixed-delay adoption per event (a realistic pipelined
 detector), while ``"exponential"`` keeps a *single* pending
 exponentially distributed timer with mean ``detection_delay`` — by
 memorylessness this is distribution-exact against the
-:func:`repro.markov.detection.detection_delay_model` CTMC, making it
-the oracle for that chain.
+delay model of :func:`repro.markov.detection.detection_delay_model`,
+making it the oracle for that model.
 
 :func:`simulate_transient` is the time-dependent counterpart: every
 replication restarts all-up at ``t = 0``, and per grid time it samples
@@ -111,8 +111,8 @@ def simulate_availability(
         adoption per component event; ``"exponential"`` keeps a single
         pending timer with an Exp(1/``detection_delay``) firing time,
         re-armed whenever the active configuration goes stale — the
-        distribution-exact counterpart of the
-        :func:`~repro.markov.detection.detection_delay_model` CTMC.
+        distribution-exact counterpart of the delay model of
+        :func:`~repro.markov.detection.detection_delay_model`.
     """
     if horizon <= 0:
         raise ModelError("horizon must be positive")

@@ -7,6 +7,7 @@ from repro.errors import ModelError
 from repro.experiments.figure1 import figure1_failure_probs
 from repro.markov.availability import ComponentAvailability
 from repro.markov.detection import detection_delay_model
+from repro.verify.oracle import detection_delay_reference
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,45 @@ def test_unknown_component_rejected(inputs):
 def test_state_count_reported(inputs):
     ftlqn, rates, rewards, _ = inputs
     result = detection_delay_model(ftlqn, rates, rewards, detection_rate=1.0)
-    # 2^8 down-sets, each paired with at least its own target config.
-    assert result.state_count >= 256
-    assert result.state_count == len(result.chain)
+    # 2^8 down-sets times 7 targets (6 configurations plus failure).
+    assert result.state_count == 1792 == 2**8 * 7
+
+
+@pytest.mark.parametrize("never_fails", [False, True])
+@pytest.mark.parametrize("detection_rate", [0.1, 1.0, 50.0, 1e4])
+def test_matches_the_explicit_chain(inputs, detection_rate, never_fails):
+    ftlqn, rates, rewards, _ = inputs
+    if never_fails:
+        rates = dict(rates)
+        rates["Server1"] = ComponentAvailability(0.0, 1.0)
+    result = detection_delay_model(
+        ftlqn, rates, rewards, detection_rate=detection_rate
+    )
+    reference = detection_delay_reference(
+        ftlqn, rates, rewards, detection_rate=detection_rate
+    )
+    assert result.state_count == reference.state_count
+    assert result.state_count == (896 if never_fails else 1792)
+    for measure in (
+        "expected_reward", "instantaneous_reward", "stale_probability"
+    ):
+        assert getattr(result, measure) == pytest.approx(
+            getattr(reference, measure), abs=1e-12
+        )
+
+
+def test_no_unreliable_components_is_one_state(inputs):
+    ftlqn, _, rewards, _ = inputs
+    result = detection_delay_model(ftlqn, {}, rewards, detection_rate=2.0)
+    assert result.state_count == 1
+    assert result.stale_probability == 0.0
+    assert result.expected_reward == result.instantaneous_reward
+    assert result.expected_reward > 0
+
+
+def test_missing_group_rewards_rejected(inputs):
+    ftlqn, rates, rewards, _ = inputs
+    partial = dict(rewards)
+    del partial[next(iter(partial))]
+    with pytest.raises(ModelError, match="group_rewards missing configuration"):
+        detection_delay_model(ftlqn, rates, partial, detection_rate=1.0)

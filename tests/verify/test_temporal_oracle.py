@@ -1,9 +1,10 @@
 """The fuzzer's temporal dimension: generation, oracle, mutation.
 
-The mutation self-test injects a broken uniformization (Poisson series
-truncated after two terms, remainder thrown away) and proves the
-temporal oracle's closed-form cross-check flags it — the temporal net
-catches real transient-solver bugs, not just healthy code.
+The mutation self-tests inject a broken uniformization (Poisson series
+truncated after two terms, remainder thrown away) and a broken
+detection-delay solve (the system-failure column loses its coupling
+term), and prove the temporal oracle flags each — the temporal net
+catches real solver bugs, not just healthy code.
 """
 
 import dataclasses
@@ -129,7 +130,65 @@ def _buggy_transient_distribution(
     return {s: float(result[i]) for i, s in enumerate(states)}
 
 
+def delay_scenario() -> Scenario:
+    """The first generated scenario whose temporal check runs the
+    detection-delay comparison (a detection latency and a delay chain
+    under the oracle's size cap)."""
+    for seed in range(200):
+        scenario = generate_scenario(seed)
+        spec = scenario.temporal
+        if spec is None or spec.detection_latency is None:
+            continue
+        if any(p >= 1.0 for p in scenario.failure_probs.values()):
+            continue
+        if any(c.probability >= 1.0 for c in scenario.common_causes):
+            continue
+        chain = set(scenario.ftlqn.component_names()) & set(
+            scenario.failure_probs
+        )
+        if len(chain) <= DEFAULT_ORACLE_CONFIG.temporal_max_chain_bits:
+            return scenario
+    pytest.fail("no scenario with a checkable delay chain in 200 seeds")
+
+
 class TestMutation:
+    def test_delay_solve_bug_is_caught(self, monkeypatch):
+        scenario = delay_scenario()
+        import repro.markov.detection as detection
+
+        healthy = detection._solve_columns
+
+        def dropped_failed_coupling(coupling, *args):
+            # Column 0 is system failure: losing its right-hand side
+            # leaves that column at zero mass.
+            coupling = coupling.copy()
+            coupling[:, 0] = 0.0
+            return healthy(coupling, *args)
+
+        monkeypatch.setattr(
+            detection, "_solve_columns", dropped_failed_coupling
+        )
+        report = check_scenario(
+            scenario, backends=INTERP_ONLY, temporal=True, config=FAST_CONFIG
+        )
+        assert report.temporal_checked
+        flagged = [
+            d for d in report.disagreements
+            if d.backend == "detection-delay"
+        ]
+        assert flagged, "temporal oracle missed the injected delay bug"
+        assert all(d.kind == "temporal" for d in flagged)
+
+    def test_delay_scenario_passes_with_healthy_solver(self):
+        report = check_scenario(
+            delay_scenario(),
+            backends=INTERP_ONLY,
+            temporal=True,
+            config=FAST_CONFIG,
+        )
+        assert report.temporal_checked
+        assert report.ok, report.summary()
+
     def test_uniformization_bug_is_caught(self, monkeypatch):
         scenario = eligible_scenario()
         import repro.markov.uniformization as uniformization
