@@ -26,6 +26,7 @@ is written:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import subprocess
@@ -42,7 +43,8 @@ from repro.experiments.architectures import (
 from repro.experiments.figure1 import figure1_failure_probs, figure1_system
 from repro.experiments.figure11 import run_figure11
 from repro.experiments.sensitivity import run_sensitivity
-from repro.lqn import solve_lqn, solve_lqn_batch
+from repro.lqn import LQNModel, solve_lqn, solve_lqn_batch
+from repro.lqn.solver import _canonical_form
 from repro.optimize import DesignSpace, DesignSpaceSearch, UpgradeOption
 
 PARITY_TOLERANCE = 1e-12
@@ -278,10 +280,31 @@ def optimize_exhaustive_entry() -> dict:
     })
 
 
+def scaled_demands(model: LQNModel, factor: float) -> LQNModel:
+    """A copy of ``model`` with every entry demand scaled by ``factor``."""
+    copy = LQNModel(
+        name=model.name,
+        processors=dict(model.processors),
+        tasks=dict(model.tasks),
+    )
+    for name, entry in model.entries.items():
+        copy.entries[name] = dataclasses.replace(
+            entry,
+            demand=entry.demand * factor,
+            phase2_demand=entry.phase2_demand * factor,
+        )
+    return copy
+
+
 def batched_solver_entry() -> dict:
     """The batched layered solver against a sequential loop over the
     same models — the micro-benchmark of the batch composition itself,
-    with bitwise parity required."""
+    with bitwise parity required.
+
+    Figure 1's six configurations form only three canonical classes,
+    and ``solve_lqn_batch`` runs one fixed point per class, so every
+    copy gets its own demand scale: the row times lockstep batching of
+    distinct fixed points, not deduplication."""
     ftlqn = figure1_system()
     analyzer = PerformabilityAnalyzer(
         ftlqn, None, failure_probs=figure1_failure_probs()
@@ -292,9 +315,11 @@ def batched_solver_entry() -> dict:
         if configuration is not None
     ]
     models = [
-        configuration_to_lqn(ftlqn, configuration)
-        for configuration in configurations
-    ] * BATCH_REPLICATION
+        scaled_demands(configuration_to_lqn(ftlqn, configuration), 1 + i * 1e-3)
+        for i, configuration in enumerate(configurations * BATCH_REPLICATION)
+    ]
+    if len({_canonical_form(model) for model in models}) != len(models):
+        raise SystemExit("batched-solver models are not pairwise distinct")
 
     solve_lqn_batch(models[:2])  # warm the code paths
     started = time.perf_counter()

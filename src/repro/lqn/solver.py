@@ -35,12 +35,22 @@ building the submodel networks of *all* models still iterating and
 solving them in **one** :func:`~repro.lqn.mva.schweitzer_mva_batch`
 call per outer sweep — each model's trajectory, and therefore its
 result, is exactly what a sequential :func:`solve_lqn` produces.
+
+Deduplication
+-------------
+The solver reads names only as dict keys and computes in insertion
+order, so models with the same :func:`_canonical_form` (the positional
+tuple of everything it reads, floats by bit pattern) follow
+bit-identical trajectories.  :func:`solve_lqn_batch` runs one fixed
+point per form and gives every other model of the class the
+representative's numbers under its own names: replicas and
+primary/backup servers with equal parameters collapse this way.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,7 +175,6 @@ class _ModelState:
 
 
 def _init_state(model: LQNModel, max_iterations: int) -> _ModelState:
-    model.validate()
     return _ModelState(
         model=model,
         visits=_reference_visits(model),
@@ -198,13 +207,21 @@ def solve_lqn_batch(
     of *all* still-active models in one
     :func:`~repro.lqn.mva.schweitzer_mva_batch` call, replacing
     hundreds of small Python fixed points per configuration sweep with
-    a handful of vectorised ones.
+    a handful of vectorised ones.  Models with equal canonical forms
+    share one fixed point; each model still gets its own result dicts.
 
     See :func:`solve_lqn` for the parameters.
     """
     if not 0 < damping <= 1:
         raise SolverError("damping must be in (0, 1]")
-    states = [_init_state(model, max_iterations) for model in models]
+    for model in models:
+        model.validate()
+    classes: dict[object, int] = {}
+    owners = [classes.setdefault(_canonical_form(m), len(classes)) for m in models]
+    representatives: dict[int, LQNModel] = {}
+    for owner, model in zip(owners, models):
+        representatives.setdefault(owner, model)
+    states = [_init_state(m, max_iterations) for m in representatives.values()]
 
     for iteration in range(max_iterations):
         live = [s for s in states if s.active]
@@ -232,7 +249,7 @@ def solve_lqn_batch(
                 state.converged = True
                 state.active = False
 
-    return [
+    solved = [
         _collect_results(
             state,
             state.iterations_used,
@@ -240,6 +257,69 @@ def solve_lqn_batch(
         )
         for state in states
     ]
+    # The representative takes its solved result; every later model of
+    # its class gets fresh dicts under its own names.
+    fresh = dict(enumerate(solved))
+    return [
+        fresh.pop(owner, None) or _relabel(solved[owner], model)
+        for owner, model in zip(owners, models)
+    ]
+
+
+def _canonical_form(model: LQNModel) -> object:
+    """The positional tuple of everything the solver reads.
+
+    Processors, tasks and entries are referenced by insertion position,
+    and scalars by type and value, floats by ``float.hex`` (so ``0.0``
+    and ``-0.0`` differ).  A model whose keys differ from its items'
+    names, or that refers to an unknown name, is not read purely by
+    position: it gets a unique ``object()`` and is solved alone.
+    """
+    tables = (model.processors, model.tasks, model.entries)
+    if any(key != item.name for table in tables for key, item in table.items()):
+        return object()
+    processor_at, task_at, entry_at = (
+        {name: position for position, name in enumerate(table)}
+        for table in tables
+    )
+    try:
+        return (
+            tuple(_bits(p.multiplicity) for p in model.processors.values()),
+            tuple(
+                (processor_at[t.processor], _bits(t.multiplicity),
+                 _bits(t.is_reference), _bits(t.think_time))
+                for t in model.tasks.values()
+            ),
+            tuple(
+                (task_at[e.task], _bits(e.demand), _bits(e.phase2_demand),
+                 tuple((entry_at[c.target], _bits(c.mean_calls))
+                       for c in e.calls))
+                for e in model.entries.values()
+            ),
+        )
+    except KeyError:
+        return object()
+
+
+def _bits(value: object) -> tuple:
+    """A scalar as ``(type, value)``, floats by bit pattern."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+#: Each result mapping and the model table that keys it.
+_RESULT_KEYS = (
+    ("task_throughputs", "tasks"), ("entry_throughputs", "entries"),
+    ("entry_service_times", "entries"), ("entry_waiting_times", "entries"),
+    ("task_utilizations", "tasks"), ("processor_utilizations", "processors"),
+)
+
+
+def _relabel(result: LQNResults, model: LQNModel) -> LQNResults:
+    """``result`` of an equal-form model, keyed by ``model``'s names."""
+    return replace(result, **{
+        name: dict(zip(getattr(model, table), getattr(result, name).values()))
+        for name, table in _RESULT_KEYS
+    })
 
 
 def _update_services_and_rates(state: _ModelState) -> float:
